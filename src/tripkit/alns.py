@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .embedding import EmbeddingModel
-from .graph import PoiGraph
+from .graph import PoiGraph, within_budget
 
 WEIGHT_FLOOR = 1e-6
 
@@ -141,24 +141,27 @@ def randomized_index(count: int, randomness: float, fraction: float,
     return min(idx, count - 1)
 
 
+Option = tuple[int, int, float]  # (vertex, position, cost delta)
+
+
 def greedy_extend(graph: PoiGraph, trip: Sequence[int],
-                  choose: Callable[[list[int], list[tuple[int, int, float]]],
-                                   tuple[int, int, float] | None]) -> list[int]:
-    """Insert vertices (cheapest position each) chosen by `choose` from the
-    fitting candidates, until none fits. `choose` sees the current trip and
-    options (vertex, position, cost delta)."""
+                  choose: Callable[[list[int], list[Option]], Option | None]) -> list[int]:
+    """The one loop that inserts vertices, each at its cheapest position,
+    under the budget. While some interior vertex is unvisited, `choose` sees
+    the current trip and the options that fit (possibly none) and returns one
+    of them, or None to stop."""
     trip = list(trip)
     used = set(trip)
     cost = graph.trip_cost(trip)
-    while True:
+    while len(used) < graph.n:
         options = []
         for v in graph.interior():
             if v in used:
                 continue
             pos, delta = cheapest_insertion(graph, trip, v)
-            if cost + delta <= graph.budget:
+            if within_budget(cost + delta, graph.budget):
                 options.append((v, pos, delta))
-        picked = choose(trip, options) if options else None
+        picked = choose(trip, options)
         if picked is None:
             break
         v, pos, delta = picked
@@ -170,19 +173,19 @@ def greedy_extend(graph: PoiGraph, trip: Sequence[int],
 
 def _choose_most_profit(graph: PoiGraph):
     return lambda trip, opts: max(
-        opts, key=lambda o: (profit_increment(graph, trip, o[0]), -o[0]))
+        opts, key=lambda o: (profit_increment(graph, trip, o[0]), -o[0]), default=None)
 
 
 def _choose_least_cost(graph: PoiGraph):
     del graph
-    return lambda trip, opts: min(opts, key=lambda o: (o[2], o[0]))
+    return lambda trip, opts: min(opts, key=lambda o: (o[2], o[0]), default=None)
 
 
 def _choose_best_ratio(graph: PoiGraph):
     def ratio(trip, o):
         gain = profit_increment(graph, trip, o[0])
         return gain / o[2] if o[2] > 0 else math.inf
-    return lambda trip, opts: max(opts, key=lambda o: (ratio(trip, o), -o[0]))
+    return lambda trip, opts: max(opts, key=lambda o: (ratio(trip, o), -o[0]), default=None)
 
 
 def init_pool(graph: PoiGraph, capacity: int) -> SolutionPool:
@@ -259,9 +262,11 @@ def build(graph: PoiGraph, trip: Sequence[int], operator: str,
         else:
             dist = {v: graph.cost[pivot][v] for v in graph.interior()}
         return greedy_extend(graph, trip, lambda cur, opts: min(
-            opts, key=lambda o: (dist[o[0]], o[0])))
+            opts, key=lambda o: (dist[o[0]], o[0]), default=None))
     if operator == "highest_potential":
         def choose(cur, opts):
+            if not opts:
+                return None
             cost = graph.trip_cost(cur)
             best = None
             for v, pos, delta in opts:
@@ -272,7 +277,7 @@ def build(graph: PoiGraph, trip: Sequence[int], operator: str,
                     if w == v:
                         continue
                     _, delta_w = cheapest_insertion(graph, candidate, w)
-                    if cost + delta + delta_w > graph.budget:
+                    if not within_budget(cost + delta + delta_w, graph.budget):
                         continue
                     pair_gain = gain_v + profit_increment(graph, candidate, w)
                     key = (pair_gain, -v)
@@ -372,7 +377,9 @@ def run_alns(graph: PoiGraph, config: AlnsConfig | None = None,
             partial = destroy(graph, current, d_op, config, rng)
             candidate = build(graph, partial, b_op, rng, model)
             candidate = local_search(graph, candidate)
-            assert graph.feasible(candidate).ok, "ALNS produced an infeasible trip"
+            verdict = graph.feasible(candidate)
+            if not verdict.ok:
+                raise RuntimeError(f"ALNS produced an infeasible trip: {verdict.reason}")
             score_new = graph.trip_objective(candidate)
             accepted = sa_accept(score_new, score_cur, temp, rng)
             scenario = classify_scenario(accepted, score_new, score_cur,

@@ -244,7 +244,7 @@ class TimeCostModel:
         return cost
 
 
-def compute_visit_times(trips: Sequence[Trip], *, fallback_mean: bool = False) -> dict[str, float]:
+def compute_visit_times(trips: Sequence[Trip]) -> dict[str, float]:
     """Mean visit duration per POI over all visits in the corpus."""
     total: dict[str, float] = {}
     count: dict[str, int] = {}
@@ -252,10 +252,7 @@ def compute_visit_times(trips: Sequence[Trip], *, fallback_mean: bool = False) -
         for v in trip.visits:
             total[v.poi_id] = total.get(v.poi_id, 0.0) + v.duration
             count[v.poi_id] = count.get(v.poi_id, 0) + 1
-    times = {p: total[p] / count[p] for p in total}
-    if fallback_mean and times:
-        times["__mean__"] = sum(total.values()) / sum(count.values())
-    return times
+    return {p: total[p] / count[p] for p in total}
 
 
 def load_distance_matrix(rows: Iterable[str] | io.TextIOBase,

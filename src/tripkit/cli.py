@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .alns import AlnsConfig, run_alns, write_trace_csv
 from .checkins import (CheckinError, TimeCostModel, Trip, PoiVisit, UnknownPoiError,
@@ -171,8 +169,9 @@ def _load_model(path: str) -> EmbeddingModel:
             model = EmbeddingModel.load(fh)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read model file {path}: {exc}")
-    if model._zpair is not None:
-        check_zpair(model, model._zpair)
+    if model.zpair is not None:
+        # keep the fresh value: ScoreContext reuses it, so z_pair is computed once per call
+        model.zpair = check_zpair(model, model.zpair)
     return model
 
 
@@ -197,9 +196,9 @@ def _query_graph(args, model, trips, pois):
     if args.user not in model.user_vec:
         raise CliError(f"unknown user: {args.user}")
     query = Query(args.user, args.start, args.end, float(args.budget))
-    ctx = ScoreContext(model, query)
+    ctx = ScoreContext(model, query, zpair=model.zpair)
     candidates = reachable_candidates(query, tcm, model.poi_ids)
-    graph = build_graph(model, ctx, query, tcm, candidates)
+    graph = build_graph(ctx, query, tcm, candidates)
     return query, ctx, graph
 
 
@@ -233,7 +232,7 @@ def cmd_recommend(args) -> int:
         if k == 0:
             print(f"{graph.poi_ids[v]} visit={graph.start_visit_cost:.0f}s")
         else:
-            leg = graph.edge_cost[trip[k - 1], v]
+            leg = graph.cost[trip[k - 1]][v]
             print(f"{graph.poi_ids[v]} leg={leg:.0f}s")
     if args.out:
         Path(args.out).write_text("\n".join(graph.poi_ids[v] for v in trip) + "\n")
@@ -380,7 +379,7 @@ def main(argv=None) -> int:
     except (CheckinError, UnknownPoiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AssertionError, FloatingPointError) as exc:
+    except (RuntimeError, FloatingPointError, OverflowError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

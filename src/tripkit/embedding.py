@@ -33,7 +33,6 @@ class TrainConfig:
     rng_seed: int = 42
     corrected_reg: bool = False  # apply shrinkage (not growth) to the negative POI
     shuffle: bool = False
-    freq_weighted_negatives: bool = False
     mode: str = "full"  # full | pop+pref | pop-only
 
     def __post_init__(self):
@@ -55,7 +54,7 @@ class EmbeddingModel:
         self.poi_vec = poi_vec
         self.poi_pop = poi_pop
         self.user_vec = user_vec
-        self._zpair = zpair
+        self.zpair = zpair
         if set(poi_vec) != set(poi_pop):
             raise ValueError("every POI needs both a vector and a popularity bias")
         for name, vec in list(poi_vec.items()) + list(user_vec.items()):
@@ -141,7 +140,7 @@ class EmbeddingModel:
             comps = " ".join(fmt(c) for c in self.user_vec[user_id])
             sink.write(f"U {user_id} {comps}\n")
         if zpair is None:
-            zpair = self._zpair
+            zpair = self.zpair
         if zpair is not None:
             sink.write(f"ZPAIR {fmt(zpair)}\n")
 
@@ -239,17 +238,12 @@ def sgd_step(model: EmbeddingModel, obs: Observation, negative: str,
 
 
 def sample_negatives(trip_pois: frozenset[str], all_pois: Sequence[str], k: int,
-                     rng: np.random.Generator,
-                     weights: np.ndarray | None = None) -> list[str]:
+                     rng: np.random.Generator) -> list[str]:
     """Draw k POIs uniformly with replacement from those outside the trip."""
     eligible = [i for i, p in enumerate(all_pois) if p not in trip_pois]
     if not eligible:
         raise ValueError("trip covers every POI; no negatives available")
-    if weights is not None:
-        w = weights[eligible]
-        idx = rng.choice(eligible, size=k, replace=True, p=w / w.sum())
-    else:
-        idx = rng.choice(eligible, size=k, replace=True)
+    idx = rng.choice(eligible, size=k, replace=True)
     return [all_pois[i] for i in idx]
 
 
@@ -280,14 +274,6 @@ def train(trips: Sequence[Trip], config: TrainConfig | None = None) -> Embedding
     rng = np.random.default_rng(config.rng_seed)
     model = init_model(trips, config, rng)
     all_pois = model.poi_ids
-    weights = None
-    if config.freq_weighted_negatives:
-        counts = {p: 0 for p in all_pois}
-        for t in trips:
-            for v in t.visits:
-                counts[v.poi_id] += 1
-        weights = np.array([counts[p] for p in all_pois], dtype=float)
-        weights = np.maximum(weights, 1.0)
     observations = [obs for t in trips for obs in observations_from_trip(t)]
     order = np.arange(len(observations))
     for _ in range(config.max_iterations):
@@ -295,8 +281,7 @@ def train(trips: Sequence[Trip], config: TrainConfig | None = None) -> Embedding
             order = rng.permutation(len(observations))
         for i in order:
             obs = observations[i]
-            negatives = sample_negatives(obs.trip_pois, all_pois, config.negatives,
-                                         rng, weights)
+            negatives = sample_negatives(obs.trip_pois, all_pois, config.negatives, rng)
             for neg in negatives:
                 sgd_step(model, obs, neg, config)
         model.assert_finite()

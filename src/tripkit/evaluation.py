@@ -1,5 +1,5 @@
 """Leave-one-out evaluation: folds, six quality metrics, Random/Pop baselines,
-and the embedding ablation drivers."""
+and the embedding ablation modes."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .alns import AlnsConfig, cheapest_insertion, run_alns
+from .alns import AlnsConfig, greedy_extend, run_alns
 from .checkins import TimeCostModel, Trip, compute_visit_times
 from .embedding import EmbeddingModel, TrainConfig, train
 from .exact import solve_exact
@@ -69,7 +69,7 @@ def make_folds(trips: Sequence[Trip], pois=None,
         ids = trip.poi_ids
         if len(ids) < 3 or len(set(ids)) < 3:
             continue
-        query = Query(trip.user_id, ids[0], ids[-1], _trip_cost_with_transit(tcm, trip))
+        query = Query(trip.user_id, ids[0], ids[-1], tcm.trip_cost(ids))
         training = tuple(t for j, t in enumerate(trips) if j != i)
         folds.append(Fold(trip, query, training))
     if not folds:
@@ -77,59 +77,29 @@ def make_folds(trips: Sequence[Trip], pois=None,
     return folds
 
 
-def _trip_cost_with_transit(tcm: TimeCostModel, trip: Trip) -> float:
-    return tcm.trip_cost(trip.poi_ids)
-
-
 def baseline_random(graph: PoiGraph, rng: np.random.Generator) -> list[int]:
     """Insert uniformly random unvisited candidates at the cheapest position;
     stop when the chosen candidate does not fit."""
-    trip = [graph.start, graph.end]
-    used = set(trip)
-    cost = graph.trip_cost(trip)
-    while True:
-        candidates = [v for v in graph.interior() if v not in used]
-        if not candidates:
-            return trip
-        v = candidates[int(rng.integers(len(candidates)))]
-        pos, delta = cheapest_insertion(graph, trip, v)
-        if cost + delta > graph.budget:
-            return trip
-        trip.insert(pos, v)
-        used.add(v)
-        cost += delta
+    def choose(trip, options):
+        unvisited = [v for v in graph.interior() if v not in trip]
+        v = unvisited[int(rng.integers(len(unvisited)))]
+        return next((o for o in options if o[0] == v), None)
+    return greedy_extend(graph, [graph.start, graph.end], choose)
 
 
 def baseline_pop(graph: PoiGraph, visit_counts: dict[str, int],
                  skip_mode: bool = False) -> list[int]:
     """Insert the most-visited unvisited candidate (ties by poi_id); stop when
     the selected candidate does not fit (or skip it with skip_mode)."""
-    trip = [graph.start, graph.end]
-    used = set(trip)
-    cost = graph.trip_cost(trip)
-    while True:
-        candidates = [v for v in graph.interior() if v not in used]
-        candidates.sort(key=lambda v: (-visit_counts.get(graph.poi_ids[v], 0),
-                                       graph.poi_ids[v]))
-        inserted = False
-        for v in candidates:
-            pos, delta = cheapest_insertion(graph, trip, v)
-            if cost + delta <= graph.budget:
-                trip.insert(pos, v)
-                used.add(v)
-                cost += delta
-                inserted = True
-                break
-            if not skip_mode:
-                return trip
-        if not inserted:
-            return trip
+    def rank(v):
+        return -visit_counts.get(graph.poi_ids[v], 0), graph.poi_ids[v]
 
-
-def ablation_train(trips: Sequence[Trip], config: TrainConfig,
-                   mode: str = "full") -> EmbeddingModel:
-    """Train the full model or a restricted variant (pop-only / pop+pref)."""
-    return train(trips, replace(config, mode=mode))
+    def choose(trip, options):
+        if skip_mode:
+            return min(options, key=lambda o: rank(o[0]), default=None)
+        top = min((v for v in graph.interior() if v not in trip), key=rank)
+        return next((o for o in options if o[0] == top), None)
+    return greedy_extend(graph, [graph.start, graph.end], choose)
 
 
 def visit_count_by_poi(trips: Sequence[Trip]) -> dict[str, int]:
@@ -213,12 +183,13 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
     alns_config = alns_config or AlnsConfig()
     folds = make_folds(trips, pois=pois, walking_speed=walking_speed)
     report = EvalReport()
-    cached_model = ablation_train(trips, train_config, mode) if shared_model else None
+    train_config = replace(train_config, mode=mode)
+    cached_model = train(trips, train_config) if shared_model else None
     for fold_id, fold in enumerate(folds):
         rng = np.random.default_rng(rng_seed + fold_id)
         try:
             training = fold.training if not shared_model else trips
-            model = cached_model or ablation_train(list(fold.training), train_config, mode)
+            model = cached_model or train(list(fold.training), train_config)
             counts = visit_count_by_poi(list(training))
             visit_times = compute_visit_times(list(training))
             for p in fold.test_trip.poi_ids:
@@ -230,7 +201,7 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
                 raise ValueError("query user or endpoints unseen in training data")
             ctx = ScoreContext(model, fold.query)
             candidates = reachable_candidates(fold.query, tcm, model.poi_ids)
-            graph = build_graph(model, ctx, fold.query, tcm, candidates)
+            graph = build_graph(ctx, fold.query, tcm, candidates)
             solver_fns = make_solvers(counts, alns_config)
             for name in solvers:
                 t0 = time.perf_counter()

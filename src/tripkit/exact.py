@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graph import PoiGraph
+from .graph import PoiGraph, within_budget
 
 BRUTE_FORCE_GUARD = 12
 FLOAT_TOL = 1e-9
@@ -81,12 +81,12 @@ def build_ilp(graph: PoiGraph) -> IlpModel:
     objective: dict[str, float] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            fj = float(graph.vertex_profit[j - 1])
+            fj = graph.vprofit[j - 1]
             if fj != 0.0:
                 objective[xvar(i, j)] = objective.get(xvar(i, j), 0.0) + fj
     for i in range(2, n - 1):
         for j in range(i + 1, n):
-            fe = float(graph.edge_profit[i - 1, j - 1])
+            fe = graph.eprofit[i - 1][j - 1]
             if fe != 0.0:
                 objective[xpvar(i, j)] = fe
 
@@ -110,7 +110,7 @@ def build_ilp(graph: PoiGraph) -> IlpModel:
             for k in range(1, n + 1):
                 both[xvar(j, k)] = both.get(xvar(j, k), 0.0) - 1.0
             cons.append(Constraint(f"pair_lb_{i}_{j}", both, ">=", -1.0))
-    budget = {xvar(i, j): float(graph.edge_cost[i - 1, j - 1])
+    budget = {xvar(i, j): graph.cost[i - 1][j - 1]
               for i in range(1, n + 1) for j in range(1, n + 1)}
     cons.append(Constraint("budget", budget, "<=", graph.budget - graph.start_visit_cost))
     big = float(n - 1)
@@ -317,22 +317,23 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
     """
     n = graph.n
     start, end = graph.start, graph.end
-    if graph.start_visit_cost + graph.edge_cost[start, end] > graph.budget:
+    cost, vprofit, eprofit, budget = graph.cost, graph.vprofit, graph.eprofit, graph.budget
+    if not within_budget(graph.start_visit_cost + cost[start][end], budget):
         return None
     interior = list(graph.interior())
-    min_edge = min((graph.edge_cost[i, j] for i in range(n) for j in range(n) if i != j),
-                   default=0.0)
-    min_into_end = min((graph.edge_cost[i, end] for i in range(n) if i != end), default=0.0)
+    min_edge = min((cost[i][j] for i in range(n) for j in range(n) if i != j), default=0.0)
+    min_into_end = min((cost[i][end] for i in range(n) if i != end), default=0.0)
 
     best_obj = -math.inf
     best_trip: list[int] | None = None
     nodes = 0
 
     def completion_lb(v: int, remaining: list[int]) -> float:
-        direct = graph.edge_cost[v, end]
+        direct = cost[v][end]
         if not remaining:
             return direct
-        via = min(graph.edge_cost[v, r] for r in remaining) + min_into_end
+        row = cost[v]
+        via = min(row[r] for r in remaining) + min_into_end
         return min(direct, via)
 
     def upper_bound(cur_obj: float, path_interior: list[int],
@@ -345,41 +346,38 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
             m = len(remaining)
         if m <= 0:
             return cur_obj
-        vps = sorted((graph.vertex_profit[r] for r in remaining), reverse=True)[:m]
+        vps = sorted((vprofit[r] for r in remaining), reverse=True)[:m]
         bound = cur_obj + sum(vps)
         pair_profits = []
         for a_idx, a in enumerate(remaining):
-            for b in remaining[a_idx + 1:]:
-                pair_profits.append(graph.edge_profit[a, b])
-            for b in path_interior:
-                pair_profits.append(graph.edge_profit[a, b])
+            row = eprofit[a]
+            pair_profits.extend(row[b] for b in remaining[a_idx + 1:])
+            pair_profits.extend(row[b] for b in path_interior)
         take = m * (m - 1) // 2 + m * len(path_interior)
         pair_profits.sort(reverse=True)
         bound += sum(pair_profits[:take])
         return bound
 
-    def dfs(v: int, path_interior: list[int], used: set[int], cost: float, obj: float):
+    def dfs(v: int, path_interior: list[int], used: set[int], path_cost: float, obj: float):
         nonlocal best_obj, best_trip, nodes
         nodes += 1
+        row = cost[v]
         # close the path at the end vertex if possible
-        if cost + graph.edge_cost[v, end] <= graph.budget + 1e-12:
+        if within_budget(path_cost + row[end], budget):
             trip = [start, *path_interior, end]
             if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and
                                           (best_trip is None or trip < best_trip)):
                 best_obj, best_trip = obj, trip
         remaining = [r for r in interior if r not in used]
-        budget_left = graph.budget - cost
-        if upper_bound(obj, path_interior, remaining, budget_left) <= best_obj + 1e-15:
+        if upper_bound(obj, path_interior, remaining, budget - path_cost) <= best_obj + 1e-15:
             if best_trip is not None:
                 return
         for r in remaining:
-            step = graph.edge_cost[v, r]
-            new_cost = cost + step
+            new_cost = path_cost + row[r]
             others = [x for x in remaining if x != r]
-            if new_cost + completion_lb(r, others) > graph.budget + 1e-12:
+            if not within_budget(new_cost + completion_lb(r, others), budget):
                 continue
-            gain = graph.vertex_profit[r] + sum(graph.edge_profit[r, p]
-                                                for p in path_interior)
+            gain = vprofit[r] + sum(eprofit[r][p] for p in path_interior)
             dfs(r, path_interior + [r], used | {r}, new_cost, obj + gain)
 
     dfs(start, [], set(), graph.start_visit_cost, 0.0)

@@ -6,11 +6,15 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .checkins import TimeCostModel, UnknownPoiError
-from .embedding import EmbeddingModel
 from .scoring import Query, ScoreContext
+
+
+def within_budget(cost: float, budget: float) -> bool:
+    """The one budget rule. A running total and a re-summed trip cost round
+    differently (by ~1e-13 s); the relative slack of 1e-10 absorbs that, so a
+    trip whose cost equals its budget fits however its cost was added up."""
+    return cost <= budget + 1e-10 * abs(budget)
 
 
 @dataclass(frozen=True)
@@ -22,29 +26,26 @@ class Feasibility:
 class PoiGraph:
     """Vertices 0..n-1 with vertex 0 = start POI and vertex n-1 = end POI.
 
-    Vertex profits are query closeness (0 at the endpoints), edge profits
-    pairwise similarity, edge costs = visit time of the target plus transit.
+    Vertex profits `vprofit` are query closeness (0 at the endpoints), edge
+    profits `eprofit` pairwise similarity, edge costs `cost` = visit time of
+    the target plus transit. Any n x n input (lists or arrays) is stored as
+    plain lists of floats, which the solvers index in their inner loops.
     """
 
-    def __init__(self, poi_ids: Sequence[str], vertex_profit: np.ndarray,
-                 edge_profit: np.ndarray, edge_cost: np.ndarray,
+    def __init__(self, poi_ids: Sequence[str], vprofit: Sequence[float],
+                 eprofit: Sequence[Sequence[float]], cost: Sequence[Sequence[float]],
                  budget: float, start_visit_cost: float):
         self.poi_ids = list(poi_ids)
         self.n = len(poi_ids)
-        self.vertex_profit = vertex_profit
-        self.edge_profit = edge_profit
-        self.edge_cost = edge_cost
+        self.vprofit = [float(p) for p in vprofit]
+        self.eprofit = [[float(p) for p in row] for row in eprofit]
+        self.cost = [[float(c) for c in row] for row in cost]
         self.budget = float(budget)
         self.start_visit_cost = float(start_visit_cost)
         if self.n < 2:
             raise ValueError("graph needs at least start and end vertices")
-        if vertex_profit[0] != 0.0 or vertex_profit[self.n - 1] != 0.0:
+        if self.vprofit[0] != 0.0 or self.vprofit[self.n - 1] != 0.0:
             raise ValueError("endpoint profits must be zero")
-        # plain-list views for the solver hot paths (numpy scalar indexing
-        # dominates the profile otherwise)
-        self.cost = [[float(c) for c in row] for row in edge_cost]
-        self.eprofit = [[float(p) for p in row] for row in edge_profit]
-        self.vprofit = [float(p) for p in vertex_profit]
 
     @property
     def start(self) -> int:
@@ -80,18 +81,18 @@ class PoiGraph:
         if len(set(trip)) != len(trip):
             return Feasibility(False, "repeat")
         cost = self.trip_cost(trip)
-        if cost > self.budget:
+        if not within_budget(cost, self.budget):
             return Feasibility(False, f"budget ({cost:.1f} > {self.budget:.1f})")
         return Feasibility(True)
 
     def dump(self, sink: io.TextIOBase):
         for i in range(self.n):
-            sink.write(f"V {i + 1} {self.poi_ids[i]} {float(self.vertex_profit[i])!r}\n")
+            sink.write(f"V {i + 1} {self.poi_ids[i]} {self.vprofit[i]!r}\n")
         for i in range(self.n):
             for j in range(self.n):
                 if i != j:
-                    sink.write(f"E {i + 1} {j + 1} {float(self.edge_profit[i, j])!r} "
-                               f"{float(self.edge_cost[i, j])!r}\n")
+                    sink.write(f"E {i + 1} {j + 1} {self.eprofit[i][j]!r} "
+                               f"{self.cost[i][j]!r}\n")
 
 
 def reachable_candidates(query: Query, tcm: TimeCostModel,
@@ -105,14 +106,15 @@ def reachable_candidates(query: Query, tcm: TimeCostModel,
             continue
         detour = (base + tcm.transit_time(query.start, p) + tcm.visit_time(p)
                   + tcm.transit_time(p, query.end))
-        if detour <= query.budget:
+        if within_budget(detour, query.budget):
             keep.append(p)
     return [query.start] + keep + [query.end]
 
 
-def build_graph(model: EmbeddingModel, ctx: ScoreContext, query: Query,
-                tcm: TimeCostModel, candidates: Sequence[str]) -> PoiGraph:
-    """Materialize the profit/cost graph over the candidate POIs.
+def build_graph(ctx: ScoreContext, query: Query, tcm: TimeCostModel,
+                candidates: Sequence[str]) -> PoiGraph:
+    """Materialize the profit/cost graph over the candidate POIs, scored by
+    `ctx` and its model.
 
     candidates must contain the start and end POIs; when start == end the POI
     occupies two vertices whose mutual transit time is zero.
@@ -120,28 +122,25 @@ def build_graph(model: EmbeddingModel, ctx: ScoreContext, query: Query,
     cand = list(candidates)
     if query.start not in cand or query.end not in cand:
         raise ValueError("candidates must include the start and end POIs")
-    missing = sorted(p for p in cand if p not in model.poi_vec)
+    missing = sorted(p for p in cand if p not in ctx.model.poi_vec)
     if missing:
         raise UnknownPoiError(f"candidates missing from the model: {missing}")
     interior = sorted(p for p in set(cand) if p not in (query.start, query.end))
     ids = [query.start] + interior + [query.end]
     n = len(ids)
-    vertex_profit = np.zeros(n)
-    for i in range(1, n - 1):
-        vertex_profit[i] = ctx.closeness(ids[i])
-    edge_profit = np.zeros((n, n))
-    edge_cost = np.zeros((n, n))
+    vprofit = [0.0] + [ctx.closeness(p) for p in interior] + [0.0]
+    eprofit = [[0.0] * n for _ in range(n)]
+    cost = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             if ids[i] != ids[j]:
-                edge_profit[i, j] = ctx.ncsim(ids[i], ids[j])
+                eprofit[i][j] = ctx.ncsim(ids[i], ids[j])
                 transit = tcm.transit_time(ids[i], ids[j])
             else:
                 # two vertices for one POI (start == end): zero transit, zero
                 # self-similarity
                 transit = 0.0
-            edge_cost[i, j] = tcm.visit_time(ids[j]) + transit
-    return PoiGraph(ids, vertex_profit, edge_profit, edge_cost,
-                    query.budget, tcm.visit_time(query.start))
+            cost[i][j] = tcm.visit_time(ids[j]) + transit
+    return PoiGraph(ids, vprofit, eprofit, cost, query.budget, tcm.visit_time(query.start))

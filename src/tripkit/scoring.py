@@ -10,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EmbeddingModel
-from .checkins import UnknownPoiError
 
 
 @dataclass(frozen=True)
@@ -25,11 +24,9 @@ class Query:
             raise ValueError("budget must be positive")
 
 
-def query_vector(model: EmbeddingModel, query: Query,
-                 with_bias: bool = False) -> np.ndarray:
+def query_vector(model: EmbeddingModel, query: Query) -> np.ndarray:
     """Sum of the user, start, and end vectors (start and end both counted,
     even when they name the same POI)."""
-    del with_bias
     return model.user(query.user_id) + model.vec(query.start) + model.vec(query.end)
 
 
@@ -94,7 +91,8 @@ def compute_zpair(model: EmbeddingModel) -> float:
 
 
 def check_zpair(model: EmbeddingModel, cached: float, rtol: float = 1e-9) -> float:
+    """The freshly computed pair normalizer, once it agrees with `cached`."""
     fresh = compute_zpair(model)
     if abs(fresh - cached) > rtol * max(abs(fresh), abs(cached)):
         raise ValueError(f"cached pair normalizer {cached} disagrees with recomputed {fresh}")
-    return cached
+    return fresh

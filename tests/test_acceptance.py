@@ -43,7 +43,7 @@ def embedding_instance(seed: int, n: int, interior_target: int | None = None):
     budget = direct + target * float(np.mean(stops))
     query = Query("u", ids[0], ids[-1], budget)
     ctx = ScoreContext(model, query)
-    return build_graph(model, ctx, query, tcm, ids), model
+    return build_graph(ctx, query, tcm, ids), model
 
 
 def structured_corpus(seed=42, users=16, trips_per=6):
@@ -125,8 +125,8 @@ class TestAcceptance:
     def test_linearization_equivalence(self, n):
         t0 = time.perf_counter()
         graph = random_graph(3000 + n, n=n)
-        roomy = PoiGraph(graph.poi_ids, graph.vertex_profit, graph.edge_profit,
-                         graph.edge_cost, budget=1e12,
+        roomy = PoiGraph(graph.poi_ids, graph.vprofit, graph.eprofit,
+                         graph.cost, budget=1e12,
                          start_visit_cost=graph.start_visit_cost)
         model = build_ilp(roomy)
         pair_cons = {}
@@ -160,8 +160,8 @@ class TestAcceptance:
         total_cycles = 0
         for n in (4, 5, 6):
             graph = random_graph(4000 + n, n=n)
-            roomy = PoiGraph(graph.poi_ids, graph.vertex_profit, graph.edge_profit,
-                             graph.edge_cost, budget=1e12,
+            roomy = PoiGraph(graph.poi_ids, graph.vprofit, graph.eprofit,
+                             graph.cost, budget=1e12,
                              start_visit_cost=graph.start_visit_cost)
             model = build_ilp(roomy)
             pos_cons = [c for c in model.constraints if c.cid.startswith("pos_")]
@@ -336,6 +336,7 @@ class TestAcceptance:
         ac = AlnsConfig(runs=2, iterations=200)
         rep = evaluate(trips, ["random", "pop", "alns"], pois=pois,
                        train_config=tc, alns_config=ac, shared_model=True)
+        assert not rep.errors, rep.errors
         means = {k: v.f1 for k, v in rep.mean_by_solver().items()}
         assert means["random"] < means["pop"] < means["alns"], means
         ablation = {}

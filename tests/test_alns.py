@@ -253,7 +253,7 @@ class TestBuild:
 
     def test_greedy_extend_respects_budget(self):
         g = random_graph(16, n=9)
-        out = greedy_extend(g, [0, 8], lambda cur, opts: opts[0])
+        out = greedy_extend(g, [0, 8], lambda cur, opts: opts[0] if opts else None)
         assert g.trip_cost(out) <= g.budget
 
 
@@ -340,8 +340,8 @@ class TestInitPool:
 
     def test_raises_when_direct_infeasible(self):
         g = random_graph(30, n=5)
-        hopeless = PoiGraph(g.poi_ids, g.vertex_profit, g.edge_profit,
-                            g.edge_cost, 1.0, g.start_visit_cost)
+        hopeless = PoiGraph(g.poi_ids, g.vprofit, g.eprofit,
+                            g.cost, 1.0, g.start_visit_cost)
         with pytest.raises(ValueError):
             init_pool(hopeless, 10)
 

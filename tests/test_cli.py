@@ -4,7 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tripkit.alns
+import tripkit.cli
+import tripkit.scoring
 from tripkit.cli import main
+from tripkit.embedding import EmbeddingModel
 from tripkit.exact import read_lp
 
 
@@ -146,7 +150,46 @@ class TestRecommend:
     def test_exact_solver(self, workspace, capsys):
         assert main(["recommend", *query_flags(workspace),
                      "--solver", "exact"]) == 0
-        assert capsys.readouterr().out.startswith("# solver=exact")
+        out = capsys.readouterr().out
+        assert out.startswith("# solver=exact")
+        float(out.split("score=")[1].split()[0])
+
+    def test_zpair_computed_once(self, workspace, monkeypatch):
+        calls = []
+        real = tripkit.scoring.compute_zpair
+
+        def counted(model):
+            calls.append(1)
+            return real(model)
+        monkeypatch.setattr(tripkit.scoring, "compute_zpair", counted)
+        monkeypatch.setattr(tripkit.cli, "compute_zpair", counted)
+        assert main(["recommend", *query_flags(workspace), "--runs", "1",
+                     "--iterations", "20"]) == 0
+        assert len(calls) == 1
+
+    def test_normalizer_overflow_exit_4(self, workspace, capsys):
+        # vectors of 30.0 in 13 dimensions: exp(user . poi) overflows a double
+        corpus = json.loads(workspace["corpus"].read_text())
+        pois = {v["poi_id"] for t in corpus["trips"] for v in t["visits"]}
+        users = {t["user_id"] for t in corpus["trips"]}
+        huge = EmbeddingModel(13, {p: np.full(13, 30.0) for p in pois},
+                              {p: 0.0 for p in pois}, {u: np.full(13, 30.0) for u in users})
+        path = workspace["root"] / "huge.txt"
+        with open(path, "w") as fh:
+            huge.save(fh)
+        flags = query_flags(workspace)
+        flags[flags.index("--model") + 1] = str(path)
+        assert main(["recommend", *flags]) == 4
+        assert "internal error" in capsys.readouterr().err
+
+    def test_infeasible_alns_trip_exit_4(self, workspace, capsys, monkeypatch):
+        # a local search that repeats the start vertex: the explicit check
+        # in run_alns must reject the trip
+        monkeypatch.setattr(tripkit.alns, "local_search",
+                            lambda graph, trip: [trip[0], *trip])
+        assert main(["recommend", *query_flags(workspace), "--runs", "1",
+                     "--iterations", "5"]) == 4
+        assert "infeasible trip" in capsys.readouterr().err
 
     def test_infeasible_budget_exit_3(self, workspace, capsys):
         assert main(["recommend", *query_flags(workspace, budget="10")]) == 3

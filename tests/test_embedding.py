@@ -360,7 +360,7 @@ class TestModelFile:
             assert loaded.poi_pop[p] == m.poi_pop[p]
         for u in m.user_vec:
             assert np.array_equal(loaded.user_vec[u], m.user_vec[u])
-        assert loaded._zpair == 123.456
+        assert loaded.zpair == 123.456
 
     def test_header_mismatch(self):
         with pytest.raises(ValueError):

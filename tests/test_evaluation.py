@@ -1,14 +1,14 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tripkit.alns import AlnsConfig
 from tripkit.graph import PoiGraph
-from tripkit.embedding import TrainConfig
+from tripkit.embedding import TrainConfig, train
 from tripkit.evaluation import (EvalReport, baseline_pop, baseline_random,
-                                ablation_train, evaluate, make_folds, metrics,
-                                visit_count_by_poi)
+                                evaluate, make_folds, metrics, visit_count_by_poi)
 from conftest import make_trip, poi_coords, random_graph, two_clique_corpus
 
 
@@ -110,10 +110,28 @@ class TestBaselineRandom:
         # tiny budget: the first random pick cannot fit, so the trip stays direct
         g = random_graph(1, n=8)
         from tripkit.graph import PoiGraph
-        tight = PoiGraph(g.poi_ids, g.vertex_profit, g.edge_profit, g.edge_cost,
-                         g.start_visit_cost + g.edge_cost[0, 7] + 1.0,
+        tight = PoiGraph(g.poi_ids, g.vprofit, g.eprofit, g.cost,
+                         g.start_visit_cost + g.cost[0][7] + 1.0,
                          g.start_visit_cost)
         assert baseline_random(tight, np.random.default_rng(0)) == [0, 7]
+
+    def test_generator_draws_pinned(self):
+        # one draw per pick, including the pick that does not fit, and none
+        # once every vertex is in the trip; the draws that follow are pinned
+        g = random_graph(0, n=8, interior_target=3)
+        tight = random_graph(1, n=8)
+        tight = PoiGraph(tight.poi_ids, tight.vprofit, tight.eprofit, tight.cost,
+                         tight.start_visit_cost + tight.cost[0][7] + 1.0,
+                         tight.start_visit_cost)
+        roomy = random_graph(2, n=6)
+        roomy = PoiGraph(roomy.poi_ids, roomy.vprofit, roomy.eprofit, roomy.cost,
+                         1e12, roomy.start_visit_cost)
+        for graph, seed, trip, after in [(g, 7, [0, 6, 3, 4, 7], [578, 775, 833]),
+                                         (tight, 0, [0, 7], [636, 511, 269]),
+                                         (roomy, 3, [0, 1, 4, 2, 3, 5], [236, 181, 801])]:
+            rng = np.random.default_rng(seed)
+            assert baseline_random(graph, rng) == trip
+            assert rng.integers(1000, size=3).tolist() == after
 
 
 class TestBaselinePop:
@@ -158,7 +176,7 @@ class TestAblationTrain:
     def test_mode_passthrough(self):
         trips, _ = two_clique_corpus(n_trips=12, pois_per_clique=4)
         cfg = TrainConfig(dim=3, max_iterations=2, rng_seed=0)
-        m = ablation_train(trips, cfg, "pop-only")
+        m = train(trips, replace(cfg, mode="pop-only"))
         assert all(np.all(v == 0.0) for v in m.poi_vec.values())
 
 

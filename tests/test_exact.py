@@ -75,7 +75,7 @@ class TestModelShape:
         m = build_ilp(g)
         budget = next(c for c in m.constraints if c.cid == "budget")
         assert budget.rhs == pytest.approx(g.budget - g.start_visit_cost)
-        assert budget.coeffs[xvar(1, 2)] == pytest.approx(g.edge_cost[0, 1])
+        assert budget.coeffs[xvar(1, 2)] == pytest.approx(g.cost[0][1])
 
 
 class TestEncodeAndCheck:
@@ -108,8 +108,8 @@ class TestEncodeAndCheck:
 
     def test_over_budget_trip_flagged(self):
         g = random_graph(7, n=5)
-        tight = PoiGraph(g.poi_ids, g.vertex_profit, g.edge_profit, g.edge_cost,
-                         g.start_visit_cost + g.edge_cost[0, 4] + 1.0,
+        tight = PoiGraph(g.poi_ids, g.vprofit, g.eprofit, g.cost,
+                         g.start_visit_cost + g.cost[0][4] + 1.0,
                          g.start_visit_cost)
         m = build_ilp(tight)
         out = check_assignment(m, encode_trip(m, [0, 1, 2, 4]))
@@ -214,15 +214,15 @@ class TestEnumerateAll:
 
     def test_direct_only_when_budget_tight(self):
         g = random_graph(12, n=5)
-        tight = PoiGraph(g.poi_ids, g.vertex_profit, g.edge_profit, g.edge_cost,
-                         g.start_visit_cost + g.edge_cost[0, 4],
+        tight = PoiGraph(g.poi_ids, g.vprofit, g.eprofit, g.cost,
+                         g.start_visit_cost + g.cost[0][4],
                          g.start_visit_cost)
         out = enumerate_all(tight)
         assert out.trip == [0, 4]
 
     def test_none_when_nothing_fits(self):
         g = random_graph(12, n=5)
-        hopeless = PoiGraph(g.poi_ids, g.vertex_profit, g.edge_profit, g.edge_cost,
+        hopeless = PoiGraph(g.poi_ids, g.vprofit, g.eprofit, g.cost,
                             1.0, g.start_visit_cost)
         assert enumerate_all(hopeless) is None
 
@@ -253,7 +253,7 @@ class TestSolveExact:
 
     def test_none_when_nothing_fits(self):
         g = random_graph(14, n=5)
-        hopeless = PoiGraph(g.poi_ids, g.vertex_profit, g.edge_profit, g.edge_cost,
+        hopeless = PoiGraph(g.poi_ids, g.vprofit, g.eprofit, g.cost,
                             1.0, g.start_visit_cost)
         assert solve_exact(hopeless) is None
 

@@ -47,13 +47,13 @@ class TestTripCost:
     def test_direct_trip(self):
         g = random_graph(1, n=5)
         assert g.trip_cost([0, 4]) == pytest.approx(
-            g.start_visit_cost + g.edge_cost[0, 4])
+            g.start_visit_cost + g.cost[0][4])
 
     def test_hand_sum(self):
         g = random_graph(2, n=6)
         trip = [0, 2, 4, 5]
-        expected = (g.start_visit_cost + g.edge_cost[0, 2]
-                    + g.edge_cost[2, 4] + g.edge_cost[4, 5])
+        expected = (g.start_visit_cost + g.cost[0][2]
+                    + g.cost[2][4] + g.cost[4][5])
         assert g.trip_cost(trip) == pytest.approx(expected)
 
 
@@ -65,9 +65,9 @@ class TestTripObjective:
     def test_hand_sum(self):
         g = random_graph(4, n=6)
         trip = [0, 1, 3, 4, 5]
-        expected = (g.vertex_profit[1] + g.vertex_profit[3] + g.vertex_profit[4]
-                    + g.edge_profit[1, 3] + g.edge_profit[1, 4]
-                    + g.edge_profit[3, 4])
+        expected = (g.vprofit[1] + g.vprofit[3] + g.vprofit[4]
+                    + g.eprofit[1][3] + g.eprofit[1][4]
+                    + g.eprofit[3][4])
         assert g.trip_objective(trip) == pytest.approx(expected)
 
     def test_order_invariant(self):
@@ -99,8 +99,8 @@ class TestFeasible:
 
     def test_budget(self):
         g = random_graph(6, n=5)
-        tight = PoiGraph(g.poi_ids, g.vertex_profit, g.edge_profit, g.edge_cost,
-                         g.start_visit_cost + g.edge_cost[0, 4] - 1.0,
+        tight = PoiGraph(g.poi_ids, g.vprofit, g.eprofit, g.cost,
+                         g.start_visit_cost + g.cost[0][4] - 1.0,
                          g.start_visit_cost)
         out = tight.feasible([0, 4])
         assert not out.ok and out.reason.startswith("budget")
@@ -131,37 +131,37 @@ class TestReachableCandidates:
 class TestBuildGraph:
     def test_vertex_layout(self):
         model, ctx, query, tcm, ids = toy_setup(seed=20)
-        g = build_graph(model, ctx, query, tcm, ids)
+        g = build_graph(ctx, query, tcm, ids)
         assert g.poi_ids[0] == query.start
         assert g.poi_ids[-1] == query.end
         assert g.poi_ids[1:-1] == sorted(ids[1:-1])
 
     def test_profits_match_scoring(self):
         model, ctx, query, tcm, ids = toy_setup(seed=21)
-        g = build_graph(model, ctx, query, tcm, ids)
+        g = build_graph(ctx, query, tcm, ids)
         for i in g.interior():
-            assert g.vertex_profit[i] == pytest.approx(ctx.closeness(g.poi_ids[i]))
+            assert g.vprofit[i] == pytest.approx(ctx.closeness(g.poi_ids[i]))
         for i in range(g.n):
             for j in range(g.n):
                 if i != j and g.poi_ids[i] != g.poi_ids[j]:
-                    assert g.edge_profit[i, j] == pytest.approx(
+                    assert g.eprofit[i][j] == pytest.approx(
                         ctx.ncsim(g.poi_ids[i], g.poi_ids[j]))
 
     def test_costs_match_time_model(self):
         model, ctx, query, tcm, ids = toy_setup(seed=22)
-        g = build_graph(model, ctx, query, tcm, ids)
+        g = build_graph(ctx, query, tcm, ids)
         for i in range(g.n):
             for j in range(g.n):
                 if i != j:
                     expected = (tcm.visit_time(g.poi_ids[j])
                                 + tcm.transit_time(g.poi_ids[i], g.poi_ids[j]))
-                    assert g.edge_cost[i, j] == pytest.approx(expected)
+                    assert g.cost[i][j] == pytest.approx(expected)
         assert g.start_visit_cost == tcm.visit_time(query.start)
 
     def test_objective_equals_ctq(self):
         # the graph objective and the direct trip score are the same number
         model, ctx, query, tcm, ids = toy_setup(seed=23)
-        g = build_graph(model, ctx, query, tcm, ids)
+        g = build_graph(ctx, query, tcm, ids)
         trip_v = [0, 1, 2, 3, g.n - 1]
         trip_p = [g.poi_ids[v] for v in trip_v]
         assert g.trip_objective(trip_v) == pytest.approx(
@@ -169,7 +169,7 @@ class TestBuildGraph:
 
     def test_cost_equals_time_model_trip_cost(self):
         model, ctx, query, tcm, ids = toy_setup(seed=24)
-        g = build_graph(model, ctx, query, tcm, ids)
+        g = build_graph(ctx, query, tcm, ids)
         trip_v = [0, 2, 1, g.n - 1]
         trip_p = [g.poi_ids[v] for v in trip_v]
         assert g.trip_cost(trip_v) == pytest.approx(tcm.trip_cost(trip_p))
@@ -178,21 +178,21 @@ class TestBuildGraph:
         model, _, _, tcm, ids = toy_setup(seed=25)
         query = Query("u1", ids[0], ids[0], 20000.0)
         ctx = ScoreContext(model, query)
-        g = build_graph(model, ctx, query, tcm, ids)
+        g = build_graph(ctx, query, tcm, ids)
         assert g.n == len(ids) + 1
         assert g.poi_ids[0] == g.poi_ids[-1] == ids[0]
-        assert g.edge_cost[0, g.end] == pytest.approx(tcm.visit_time(ids[0]))
-        assert g.edge_profit[0, g.end] == 0.0
+        assert g.cost[0][g.end] == pytest.approx(tcm.visit_time(ids[0]))
+        assert g.eprofit[0][g.end] == 0.0
 
     def test_missing_endpoint_rejected(self):
         model, ctx, query, tcm, ids = toy_setup(seed=26)
         with pytest.raises(ValueError):
-            build_graph(model, ctx, query, tcm, ids[1:])
+            build_graph(ctx, query, tcm, ids[1:])
 
     def test_unknown_poi_rejected(self):
         model, ctx, query, tcm, ids = toy_setup(seed=27)
         with pytest.raises(KeyError):
-            build_graph(model, ctx, query, tcm, ids + ["nope"])
+            build_graph(ctx, query, tcm, ids + ["nope"])
 
 
 class TestDump:
@@ -211,4 +211,4 @@ class TestDump:
         buf = io.StringIO()
         g.dump(buf)
         first_v = buf.getvalue().splitlines()[1].split()
-        assert float(first_v[3]) == g.vertex_profit[1]
+        assert float(first_v[3]) == g.vprofit[1]
