@@ -87,8 +87,8 @@ class Trip:
         return frozenset(v.poi_id for v in self.visits)
 
 
-def ingest_checkins(rows: Iterable[str] | io.TextIOBase, *, skip_bad_rows: bool = False,
-                    has_header: bool = True) -> tuple[list[CheckinRecord], int]:
+def ingest_checkins(rows: Iterable[str] | io.TextIOBase, *,
+                    skip_bad_rows: bool = False) -> tuple[list[CheckinRecord], int]:
     """Parse CSV rows `user_id,poi_id,timestamp` into records.
 
     Returns (records, skipped_count). With skip_bad_rows=False a malformed
@@ -100,7 +100,7 @@ def ingest_checkins(rows: Iterable[str] | io.TextIOBase, *, skip_bad_rows: bool 
     for lineno, row in enumerate(reader, start=1):
         if not row:
             continue
-        if lineno == 1 and has_header and row[0].strip() == "user_id":
+        if lineno == 1 and row[0].strip() == "user_id":
             continue
         try:
             if len(row) != 3:
@@ -255,9 +255,9 @@ def compute_visit_times(trips: Sequence[Trip]) -> dict[str, float]:
     return {p: total[p] / count[p] for p in total}
 
 
-def load_distance_matrix(rows: Iterable[str] | io.TextIOBase,
-                         tol: float = 1e-6) -> dict[tuple[str, str], float]:
-    """Parse a CSV distance matrix (header row/column of poi_ids, km entries)."""
+def load_distance_matrix(rows: Iterable[str] | io.TextIOBase) -> dict[tuple[str, str], float]:
+    """Parse a CSV distance matrix (header row/column of poi_ids, km entries);
+    its diagonal and asymmetry may be off zero by at most 1e-6 km."""
     reader = csv.reader(rows)
     table = [row for row in reader if row]
     if len(table) < 2:
@@ -271,10 +271,10 @@ def load_distance_matrix(rows: Iterable[str] | io.TextIOBase,
         for cid, cell in zip(ids, row[1:]):
             matrix[(rid, cid)] = float(cell)
     for a in ids:
-        if abs(matrix[(a, a)]) > tol:
+        if abs(matrix[(a, a)]) > 1e-6:
             raise CheckinError(f"distance matrix diagonal not zero at {a}")
         for b in ids:
-            if abs(matrix[(a, b)] - matrix[(b, a)]) > tol:
+            if abs(matrix[(a, b)] - matrix[(b, a)]) > 1e-6:
                 raise CheckinError(f"distance matrix not symmetric at ({a}, {b})")
     return matrix
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 from . import __version__
 from .alns import AlnsConfig, run_alns, write_trace_csv
-from .checkins import (CheckinError, TimeCostModel, Trip, PoiVisit, UnknownPoiError,
-                       aggregate_visits, compute_visit_times, corpus_stats,
+from .checkins import (DEFAULT_WALKING_SPEED, CheckinError, TimeCostModel, Trip, PoiVisit,
+                       UnknownPoiError, aggregate_visits, compute_visit_times, corpus_stats,
                        extract_trips, impacted_user_ratio, independent_pair_ratio,
                        ingest_checkins, load_distance_matrix, load_pois)
 from .embedding import EmbeddingModel, TrainConfig, train
@@ -155,9 +155,10 @@ def cmd_train(args) -> int:
                          shuffle=bool(values["shuffle"]),
                          mode=values["mode"])
     model = train(trips, config)
-    zpair = compute_zpair(model) if len(model.poi_vec) >= 2 else None
+    if len(model.poi_vec) >= 2:
+        model.zpair = compute_zpair(model)
     with open(args.out, "w") as fh:
-        model.save(fh, zpair=zpair)
+        model.save(fh)
     write_manifest(args.out, "train", {**values, "corpus": args.corpus})
     print(f"trained d={config.dim} pois={len(model.poi_vec)} users={len(model.user_vec)}")
     return EXIT_OK
@@ -178,11 +179,10 @@ def _load_model(path: str) -> EmbeddingModel:
 def _time_cost_model(args, trips, pois) -> TimeCostModel:
     visit_times = compute_visit_times(trips)
     matrix = None
-    if getattr(args, "distances", None):
+    if args.distances:
         with open(args.distances) as fh:
             matrix = load_distance_matrix(fh)
-    return TimeCostModel(visit_times, pois=pois,
-                         walking_speed=getattr(args, "walking_speed", None) or 4.0,
+    return TimeCostModel(visit_times, pois=pois, walking_speed=args.walking_speed,
                          distance_matrix=matrix)
 
 
@@ -248,13 +248,12 @@ def cmd_evaluate(args) -> int:
                       "runs": 2, "iterations": 200}, args.config, args)
     trips, pois = load_corpus(args.corpus)
     train_config = TrainConfig(dim=int(values["dim"]), max_iterations=int(values["epochs"]),
-                               rng_seed=int(values["seed"]))
+                               rng_seed=int(values["seed"]), mode=values["mode"])
     alns_config = AlnsConfig(runs=int(values["runs"]), iterations=int(values["iterations"]),
                              rng_seed=int(values["seed"]))
     solvers = [s.strip() for s in str(values["solvers"]).split(",") if s.strip()]
     report = evaluate(trips, solvers, train_config, alns_config,
-                      mode=values["mode"], rng_seed=int(values["seed"]),
-                      shared_model=bool(values["shared_model"]), pois=pois)
+                      rng_seed=int(values["seed"]), shared_model=bool(values["shared_model"]), pois=pois)
     print(report.summary_table())
     if report.errors:
         print(f"# {len(report.errors)} fold(s) failed and were excluded", file=sys.stderr)
@@ -266,16 +265,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    values = resolve({"seed": 42}, args.config, args)
+    resolve({}, args.config, args)  # no key to set; a malformed --config file is still an error
     trips, pois = load_corpus(args.corpus)
     model = _load_model(args.model)
     query, ctx, graph = _query_graph(args, model, trips, pois)
     ilp = build_ilp(graph)
     with open(args.out, "w") as fh:
         write_lp(ilp, fh)
-    write_manifest(args.out, "export-lp", {**values, "user": args.user,
-                                           "start": args.start, "end": args.end,
-                                           "budget": args.budget})
+    write_manifest(args.out, "export-lp", {"user": args.user, "start": args.start,
+                                           "end": args.end, "budget": args.budget})
     print(f"wrote {args.out}: |V|={graph.n}, {len(ilp.variables)} variables, "
           f"{len(ilp.constraints)} constraints")
     return EXIT_OK
@@ -290,6 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value config file")
+
+    def seeded(p):
+        common(p)
         p.add_argument("--seed", type=int, help="random seed (default 42)")
 
     p = sub.add_parser("ingest", help="parse check-ins into a corpus file")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int)
     p.add_argument("--sample-fraction", dest="sample_fraction", type=float)
     p.add_argument("--significance", type=float)
-    common(p)
+    seeded(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("train", help="train the POI/user embedding model")
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["full", "pop+pref", "pop-only"])
     p.add_argument("--corrected-reg", dest="corrected_reg", action="store_const", const=True)
     p.add_argument("--shuffle", action="store_const", const=True)
-    common(p)
+    seeded(p)
     p.set_defaults(fn=cmd_train)
 
     def query_args(p):
@@ -331,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--end", required=True)
         p.add_argument("--budget", type=float, required=True, help="seconds")
         p.add_argument("--distances", help="CSV distance matrix in km")
-        p.add_argument("--walking-speed", dest="walking_speed", type=float)
+        p.add_argument("--walking-speed", dest="walking_speed", type=float,
+                       default=DEFAULT_WALKING_SPEED, help="km/h (default %(default)s)")
 
     p = sub.add_parser("recommend", help="answer a trip query")
     p.add_argument("--model", required=True)
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int)
     p.add_argument("--trace", help="write the iteration trace CSV here")
     p.add_argument("--out")
-    common(p)
+    seeded(p)
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation")
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int)
     p.add_argument("--shared-model", dest="shared_model", action="store_const", const=True)
     p.add_argument("--out")
-    common(p)
+    seeded(p)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("export-lp", help="emit the query's integer program in LP format")

@@ -106,21 +106,19 @@ class EmbeddingModel:
     def csim(self, a: str, b: str) -> float:
         return float(self.vec(a) @ self.vec(b))
 
-    def scores(self, context: Iterable[str] | None, user_id: str | None,
-               with_bias: bool = True) -> dict[str, float]:
+    def scores(self, context: Iterable[str] | None, user_id: str | None) -> dict[str, float]:
         """Unnormalized log-probability of each POI given the context parts present."""
         base = np.zeros(self.dim)
         if user_id is not None:
             base = base + self.user(user_id)
         if context is not None:
             base = base + self.context_vector(context)
-        return {p: float(self.poi_vec[p] @ base) + (self.poi_pop[p] if with_bias else 0.0)
-                for p in self.poi_vec}
+        return {p: float(self.poi_vec[p] @ base) + self.poi_pop[p] for p in self.poi_vec}
 
     def prob_full(self, poi_id: str, context: Iterable[str] | None = None,
-                  user_id: str | None = None, with_bias: bool = True) -> float:
+                  user_id: str | None = None) -> float:
         """Softmax probability of poi_id; absent context parts are zeroed out."""
-        scores = self.scores(context, user_id, with_bias)
+        scores = self.scores(context, user_id)
         if poi_id not in scores:
             raise UnknownPoiError(f"unknown POI: {poi_id}")
         mx = max(scores.values())
@@ -129,7 +127,7 @@ class EmbeddingModel:
 
     # --- serialization -------------------------------------------------
 
-    def save(self, sink: io.TextIOBase, zpair: float | None = None):
+    def save(self, sink: io.TextIOBase):
         n, m = len(self.poi_vec), len(self.user_vec)
         sink.write(f"{MODEL_MAGIC} {MODEL_VERSION} d={self.dim} pois={n} users={m}\n")
         fmt = lambda x: format(float(x), ".17g")
@@ -139,10 +137,8 @@ class EmbeddingModel:
         for user_id in sorted(self.user_vec):
             comps = " ".join(fmt(c) for c in self.user_vec[user_id])
             sink.write(f"U {user_id} {comps}\n")
-        if zpair is None:
-            zpair = self.zpair
-        if zpair is not None:
-            sink.write(f"ZPAIR {fmt(zpair)}\n")
+        if self.zpair is not None:
+            sink.write(f"ZPAIR {fmt(self.zpair)}\n")
 
     @classmethod
     def load(cls, source: io.TextIOBase) -> "EmbeddingModel":

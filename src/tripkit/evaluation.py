@@ -4,7 +4,7 @@ and the embedding ablation modes."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,12 +58,10 @@ def metrics(trip: Sequence[str], ref: Sequence[str]) -> EvalResult:
                       recall_s, precision_s, _f1(recall_s, precision_s))
 
 
-def make_folds(trips: Sequence[Trip], pois=None,
-               walking_speed: float = 4.0) -> list[Fold]:
+def make_folds(trips: Sequence[Trip], pois=None) -> list[Fold]:
     """One fold per trip with >= 3 distinct-POI visits; budget = the trip's own
     time cost under the full-corpus visit-time model."""
-    tcm = TimeCostModel(compute_visit_times(trips), pois=pois or {},
-                        walking_speed=walking_speed)
+    tcm = TimeCostModel(compute_visit_times(trips), pois=pois or {})
     folds = []
     for i, trip in enumerate(trips):
         ids = trip.poi_ids
@@ -87,16 +85,13 @@ def baseline_random(graph: PoiGraph, rng: np.random.Generator) -> list[int]:
     return greedy_extend(graph, [graph.start, graph.end], choose)
 
 
-def baseline_pop(graph: PoiGraph, visit_counts: dict[str, int],
-                 skip_mode: bool = False) -> list[int]:
+def baseline_pop(graph: PoiGraph, visit_counts: dict[str, int]) -> list[int]:
     """Insert the most-visited unvisited candidate (ties by poi_id); stop when
-    the selected candidate does not fit (or skip it with skip_mode)."""
+    the selected candidate does not fit."""
     def rank(v):
         return -visit_counts.get(graph.poi_ids[v], 0), graph.poi_ids[v]
 
     def choose(trip, options):
-        if skip_mode:
-            return min(options, key=lambda o: rank(o[0]), default=None)
         top = min((v for v in graph.interior() if v not in trip), key=rank)
         return next((o for o in options if o[0] == top), None)
     return greedy_extend(graph, [graph.start, graph.end], choose)
@@ -146,21 +141,22 @@ class EvalReport:
         return "\n".join(lines)
 
 
-SolverFn = Callable[[PoiGraph, EmbeddingModel, np.random.Generator], Sequence[int]]
+# (graph, model, rng, visit counts of the training trips) -> trip
+SolverFn = Callable[[PoiGraph, EmbeddingModel, np.random.Generator, dict[str, int]],
+                    Sequence[int]]
 
 
-def make_solvers(train_trips_counts: dict[str, int],
-                 alns_config: AlnsConfig) -> dict[str, SolverFn]:
-    def random_solver(graph, model, rng):
+def make_solvers(alns_config: AlnsConfig) -> dict[str, SolverFn]:
+    def random_solver(graph, model, rng, counts):
         return baseline_random(graph, rng)
 
-    def pop_solver(graph, model, rng):
-        return baseline_pop(graph, train_trips_counts)
+    def pop_solver(graph, model, rng, counts):
+        return baseline_pop(graph, counts)
 
-    def alns_solver(graph, model, rng):
+    def alns_solver(graph, model, rng, counts):
         return run_alns(graph, alns_config, model).trip
 
-    def exact_solver(graph, model, rng):
+    def exact_solver(graph, model, rng, counts):
         result = solve_exact(graph)
         if result is None:
             raise ValueError("no feasible trip")
@@ -173,17 +169,19 @@ def make_solvers(train_trips_counts: dict[str, int],
 def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
              train_config: TrainConfig | None = None,
              alns_config: AlnsConfig | None = None,
-             mode: str = "full", rng_seed: int = 42,
+             rng_seed: int = 42,
              shared_model: bool = False,
-             walking_speed: float = 4.0,
              pois=None) -> EvalReport:
     """Per-fold train + solve + score. shared_model trains once on the full
-    corpus (faster, approximate leave-one-out)."""
+    corpus (faster, approximate leave-one-out). An unknown solver name raises
+    ValueError before any training."""
+    solver_fns = make_solvers(alns_config or AlnsConfig())
+    unknown = [name for name in solvers if name not in solver_fns]
+    if unknown:
+        raise ValueError(f"unknown solver(s): {', '.join(unknown)}")
     train_config = train_config or TrainConfig()
-    alns_config = alns_config or AlnsConfig()
-    folds = make_folds(trips, pois=pois, walking_speed=walking_speed)
+    folds = make_folds(trips, pois=pois)
     report = EvalReport()
-    train_config = replace(train_config, mode=mode)
     cached_model = train(trips, train_config) if shared_model else None
     for fold_id, fold in enumerate(folds):
         rng = np.random.default_rng(rng_seed + fold_id)
@@ -194,18 +192,18 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
             visit_times = compute_visit_times(list(training))
             for p in fold.test_trip.poi_ids:
                 visit_times.setdefault(p, 0.0)
-            tcm = TimeCostModel(visit_times, pois=pois or {}, walking_speed=walking_speed)
+            tcm = TimeCostModel(visit_times, pois=pois or {})
             if fold.query.user_id not in model.user_vec or \
                     fold.query.start not in model.poi_vec or \
                     fold.query.end not in model.poi_vec:
                 raise ValueError("query user or endpoints unseen in training data")
-            ctx = ScoreContext(model, fold.query)
+            ctx = ScoreContext(model, fold.query, zpair=model.zpair)
+            model.zpair = ctx.z_pair  # a shared model computes z_pair on its first fold only
             candidates = reachable_candidates(fold.query, tcm, model.poi_ids)
             graph = build_graph(ctx, fold.query, tcm, candidates)
-            solver_fns = make_solvers(counts, alns_config)
             for name in solvers:
                 t0 = time.perf_counter()
-                trip_idx = solver_fns[name](graph, model, rng)
+                trip_idx = solver_fns[name](graph, model, rng, counts)
                 ms = (time.perf_counter() - t0) * 1000.0
                 trip_pois = [graph.poi_ids[v] for v in trip_idx]
                 m = metrics(trip_pois, list(fold.test_trip.poi_ids))

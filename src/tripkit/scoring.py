@@ -33,18 +33,13 @@ def query_vector(model: EmbeddingModel, query: Query) -> np.ndarray:
 class ScoreContext:
     """Caches the two softmax normalizers: one per query, one per model."""
 
-    def __init__(self, model: EmbeddingModel, query: Query,
-                 bias_in_closeness: bool = False, zpair: float | None = None):
+    def __init__(self, model: EmbeddingModel, query: Query, zpair: float | None = None):
         self.model = model
         self.query = query
-        self.bias_in_closeness = bias_in_closeness
         self.qvec = query_vector(model, query)
         self.z_query = 0.0
         for p in model.poi_vec:
-            s = float(model.poi_vec[p] @ self.qvec)
-            if bias_in_closeness:
-                s += model.poi_pop[p]
-            self.z_query += math.exp(s)
+            self.z_query += math.exp(float(model.poi_vec[p] @ self.qvec))
         self.z_pair = zpair if zpair is not None else compute_zpair(model)
         if not (self.z_query > 0 and math.isfinite(self.z_query)):
             raise FloatingPointError("query normalizer must be positive and finite")
@@ -52,10 +47,7 @@ class ScoreContext:
             raise FloatingPointError("pair normalizer must be positive and finite")
 
     def closeness(self, poi_id: str) -> float:
-        s = float(self.model.vec(poi_id) @ self.qvec)
-        if self.bias_in_closeness:
-            s += self.model.pop(poi_id)
-        return math.exp(s) / self.z_query
+        return math.exp(float(self.model.vec(poi_id) @ self.qvec)) / self.z_query
 
     def ncsim(self, a: str, b: str) -> float:
         if a == b:
@@ -90,9 +82,10 @@ def compute_zpair(model: EmbeddingModel) -> float:
     return float(np.exp(sims).sum())
 
 
-def check_zpair(model: EmbeddingModel, cached: float, rtol: float = 1e-9) -> float:
-    """The freshly computed pair normalizer, once it agrees with `cached`."""
+def check_zpair(model: EmbeddingModel, cached: float) -> float:
+    """The freshly computed pair normalizer, once it agrees with `cached` to a
+    relative 1e-9."""
     fresh = compute_zpair(model)
-    if abs(fresh - cached) > rtol * max(abs(fresh), abs(cached)):
+    if abs(fresh - cached) > 1e-9 * max(abs(fresh), abs(cached)):
         raise ValueError(f"cached pair normalizer {cached} disagrees with recomputed {fresh}")
     return fresh

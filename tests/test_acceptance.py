@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,8 +342,8 @@ class TestAcceptance:
         assert means["random"] < means["pop"] < means["alns"], means
         ablation = {}
         for mode in ("full", "pop+pref", "pop-only"):
-            r = evaluate(trips, ["alns"], pois=pois, train_config=tc,
-                         alns_config=ac, mode=mode, shared_model=True)
+            r = evaluate(trips, ["alns"], pois=pois, train_config=replace(tc, mode=mode),
+                         alns_config=ac, shared_model=True)
             ablation[mode] = r.mean_by_solver()["alns"].f1
         assert ablation["full"] >= ablation["pop+pref"] >= ablation["pop-only"], \
             ablation

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import tripkit.cli
 import tripkit.scoring
 from tripkit.cli import main
 from tripkit.embedding import EmbeddingModel
-from tripkit.exact import read_lp
+from lp_reader import read_lp
 
 
 def write_inputs(root: Path, seed=0):
@@ -195,6 +196,10 @@ class TestRecommend:
         assert main(["recommend", *query_flags(workspace, budget="10")]) == 3
         assert "no feasible trip" in capsys.readouterr().err
 
+    def test_zero_walking_speed_exit_2(self, workspace, capsys):
+        assert main(["recommend", *query_flags(workspace), "--walking-speed", "0"]) == 2
+        assert "walking speed must be positive" in capsys.readouterr().err
+
     def test_unknown_user_exit_2(self, workspace):
         flags = query_flags(workspace)
         flags[flags.index("--user") + 1] = "stranger"
@@ -229,6 +234,16 @@ class TestEvaluate:
         assert lines[0].startswith("fold_id,solver,recall")
         assert len(lines) > 1
 
+    def test_unknown_solver_exit_2(self, workspace, capsys):
+        out = workspace["root"] / "eval_nosuch.csv"
+        assert main(["evaluate", str(workspace["corpus"]),
+                     "--solvers", "random,nosuch", "--dim", "3", "--epochs", "2",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown solver" in captured.err and "nosuch" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestExportLp:
     def test_round_trip(self, workspace, capsys):
@@ -248,3 +263,18 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "independent_pair_ratio" in out
         assert "impacted_user_ratio" in out
+
+
+class TestBenchmarkTracer:
+    """The benchmark's --trace 1 wraps tripkit functions by module and name
+    (perfbench/spans.py); a rename in src/ must fail here, not only there."""
+
+    def test_spans_attach_and_fire(self, workspace, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.delitem(sys.modules, "spans", raising=False)
+        import spans
+        with spans.attached(spans.Tracer()) as tracer:
+            assert main(["recommend", *query_flags(workspace), "--runs", "1",
+                         "--iterations", "5"]) == 0
+        assert tracer.calls["graph.build"] == 1
+        assert tracer.calls["scoring.zpair"] == 1

@@ -296,6 +296,18 @@ class TestTrain:
             assert np.array_equal(m1.user_vec[u], m2.user_vec[u])
         assert m1.poi_pop == m2.poi_pop
 
+    def test_shuffle_deterministic_and_different(self):
+        trips, _ = two_clique_corpus(n_trips=20, pois_per_clique=4)
+        cfg = TrainConfig(dim=3, max_iterations=2, rng_seed=9, shuffle=True)
+        m1, m2 = train(trips, cfg), train(trips, cfg)
+        for p in m1.poi_vec:
+            assert np.array_equal(m1.poi_vec[p], m2.poi_vec[p])
+        for u in m1.user_vec:
+            assert np.array_equal(m1.user_vec[u], m2.user_vec[u])
+        assert m1.poi_pop == m2.poi_pop
+        plain = train(trips, TrainConfig(dim=3, max_iterations=2, rng_seed=9))
+        assert any(not np.array_equal(m1.poi_vec[p], plain.poi_vec[p]) for p in m1.poi_vec)
+
     def test_clique_separation(self, clique_corpus):
         trips, cliques = clique_corpus
         cfg = TrainConfig(dim=8, max_iterations=50, rng_seed=42,
@@ -350,8 +362,9 @@ class TestBprObjective:
 class TestModelFile:
     def test_round_trip_exact(self):
         m = small_model(dim=3, seed=13)
+        m.zpair = 123.456
         buf = io.StringIO()
-        m.save(buf, zpair=123.456)
+        m.save(buf)
         buf.seek(0)
         loaded = EmbeddingModel.load(buf)
         assert loaded.dim == m.dim

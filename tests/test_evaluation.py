@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tripkit.evaluation
+import tripkit.scoring
 from tripkit.alns import AlnsConfig
 from tripkit.graph import PoiGraph
 from tripkit.embedding import TrainConfig, train
@@ -163,14 +165,6 @@ class TestBaselinePop:
         g = self.uniform_graph(budget=550.0)
         assert baseline_pop(g, {}) == [0, 1, 3]
 
-    def test_skip_mode_keeps_going(self):
-        g = random_graph(5, n=8, interior_target=2)
-        counts = {g.poi_ids[v]: 100 - v for v in g.interior()}
-        stop = baseline_pop(g, counts, skip_mode=False)
-        skip = baseline_pop(g, counts, skip_mode=True)
-        assert g.trip_objective(skip) >= g.trip_objective(stop) - 1e-12
-        assert g.feasible(skip).ok and g.feasible(stop).ok
-
 
 class TestAblationTrain:
     def test_mode_passthrough(self):
@@ -220,6 +214,19 @@ def small_corpus():
     return trips
 
 
+@pytest.fixture
+def zpair_calls(monkeypatch):
+    """One entry per compute_zpair call, counted where ScoreContext looks it up."""
+    calls = []
+    real = tripkit.scoring.compute_zpair
+
+    def counted(model):
+        calls.append(1)
+        return real(model)
+    monkeypatch.setattr(tripkit.scoring, "compute_zpair", counted)
+    return calls
+
+
 class TestEvaluate:
     def test_end_to_end_rows(self, small_corpus):
         report = evaluate(small_corpus, ["random", "pop", "alns"], pois=poi_coords(small_corpus),
@@ -263,3 +270,37 @@ class TestEvaluate:
                           alns_config=AlnsConfig(runs=1, iterations=10),
                           shared_model=True)
         assert report.rows, report.errors
+
+    def test_shared_model_computes_zpair_once(self, small_corpus, zpair_calls):
+        report = evaluate(small_corpus, ["pop"], pois=poi_coords(small_corpus),
+                          train_config=TrainConfig(dim=3, max_iterations=2),
+                          shared_model=True)
+        assert not report.errors, report.errors
+        assert len({r["fold_id"] for r in report.rows}) > 1
+        assert len(zpair_calls) == 1
+
+    def test_per_fold_computes_zpair_per_fold(self, small_corpus, zpair_calls):
+        report = evaluate(small_corpus, ["pop"], pois=poi_coords(small_corpus),
+                          train_config=TrainConfig(dim=3, max_iterations=1))
+        assert len(zpair_calls) == len({r["fold_id"] for r in report.rows}) > 1
+
+    def test_unknown_solver_rejected_before_training(self, small_corpus, monkeypatch):
+        trained = []
+        monkeypatch.setattr(tripkit.evaluation, "train",
+                            lambda *a, **k: trained.append(1))
+        with pytest.raises(ValueError, match="unknown solver.*nosuch"):
+            evaluate(small_corpus, ["random", "nosuch"], shared_model=True)
+        assert not trained
+
+    def test_train_config_mode_reaches_train(self, small_corpus, monkeypatch):
+        modes = []
+        real = tripkit.evaluation.train
+
+        def spy(trips, config):
+            modes.append(config.mode)
+            return real(trips, config)
+        monkeypatch.setattr(tripkit.evaluation, "train", spy)
+        evaluate(small_corpus, ["pop"], pois=poi_coords(small_corpus),
+                 train_config=TrainConfig(dim=3, max_iterations=1, mode="pop-only"),
+                 shared_model=True)
+        assert modes == ["pop-only"]

@@ -8,10 +8,11 @@ from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import lil_matrix
 
 from tripkit.exact import (Constraint, IlpModel, build_ilp, check_assignment,
-                           encode_trip, enumerate_all, models_equal, pvar,
-                           read_lp, solve_exact, write_lp, xpvar, xvar)
+                           encode_trip, enumerate_all, pvar, solve_exact, write_lp,
+                           xpvar, xvar)
 from tripkit.graph import PoiGraph
 from conftest import random_graph
+from lp_reader import models_equal, read_lp
 
 
 def solve_with_highs(model: IlpModel) -> tuple[float, dict[str, float]]:

@@ -60,15 +60,6 @@ class TestCloseness:
         for p in m.poi_vec:
             assert ctx.closeness(p) == pytest.approx(raw[p] / z, rel=1e-12)
 
-    def test_bias_flag_changes_ranking(self):
-        m = model_from(seed=4)
-        m.poi_pop["p2"] = 50.0
-        q = Query("u1", "p0", "p4", 3600)
-        plain = ScoreContext(m, q)
-        biased = ScoreContext(m, q, bias_in_closeness=True)
-        assert biased.closeness("p2") > plain.closeness("p2")
-        assert biased.closeness("p2") == pytest.approx(1.0, abs=1e-6)
-
     def test_zero_model_uniform(self):
         m = EmbeddingModel(2, {f"p{i}": np.zeros(2) for i in range(4)},
                            {f"p{i}": 0.0 for i in range(4)},
