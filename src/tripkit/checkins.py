@@ -296,19 +296,6 @@ def cooccurrence_counts(poi_id: str, trips: Sequence[Trip],
     return counts
 
 
-def cooccurrence_distribution(poi_id: str, trips: Sequence[Trip],
-                              poi_order: Sequence[str] | None = None) -> np.ndarray:
-    """Trip co-occurrence frequencies of poi_id against every POI, normalized to sum 1.
-
-    Returns the zero vector when poi_id never co-occurs with anything.
-    """
-    order = list(poi_order) if poi_order is not None else corpus_pois(trips)
-    index = {p: i for i, p in enumerate(order)}
-    counts = cooccurrence_counts(poi_id, trips, index).astype(float)
-    total = counts.sum()
-    return counts / total if total > 0 else counts
-
-
 def two_sample_chi_square(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[float, int]:
     """Two-sample chi-square statistic over bins where either count is nonzero.
 
@@ -326,9 +313,8 @@ def two_sample_chi_square(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[f
     return stat, int(keep.sum()) - 1
 
 
-def independent_pair_ratio(trips: Sequence[Trip], sample_fraction: float = 0.5,
-                           runs: int = 100, significance: float = 0.05,
-                           rng_seed: int = 42) -> float:
+def independent_pair_ratio(trips: Sequence[Trip], sample_fraction: float, runs: int,
+                           significance: float, rng_seed: int) -> float:
     """Mean fraction of POI pairs whose co-occurrence distributions differ.
 
     Per run: sample trips without replacement, build per-POI co-occurrence
@@ -365,8 +351,7 @@ def independent_pair_ratio(trips: Sequence[Trip], sample_fraction: float = 0.5,
     return float(np.mean(ratios))
 
 
-def impacted_user_ratio(trips: Sequence[Trip], runs: int = 100,
-                        rng_seed: int = 42) -> float:
+def impacted_user_ratio(trips: Sequence[Trip], runs: int, rng_seed: int) -> float:
     """Mean fraction of held-out users whose visits skew toward popular POIs.
 
     Per run: split users in half; rank POIs by visit count in the first half

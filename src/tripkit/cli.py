@@ -9,10 +9,10 @@ from pathlib import Path
 
 from . import __version__
 from .alns import AlnsConfig, run_alns, write_trace_csv
-from .checkins import (DEFAULT_WALKING_SPEED, CheckinError, TimeCostModel, Trip, PoiVisit,
-                       UnknownPoiError, aggregate_visits, compute_visit_times, corpus_stats,
-                       extract_trips, impacted_user_ratio, independent_pair_ratio,
-                       ingest_checkins, load_distance_matrix, load_pois)
+from .checkins import (DEFAULT_TRIP_WINDOW, DEFAULT_WALKING_SPEED, CheckinError,
+                       TimeCostModel, Trip, PoiVisit, UnknownPoiError, aggregate_visits,
+                       compute_visit_times, corpus_stats, extract_trips, impacted_user_ratio,
+                       independent_pair_ratio, ingest_checkins, load_distance_matrix, load_pois)
 from .embedding import EmbeddingModel, TrainConfig, train
 from .evaluation import evaluate
 from .exact import build_ilp, solve_exact, write_lp
@@ -44,26 +44,27 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def resolve(defaults: dict, config_file: str | None, args: argparse.Namespace) -> dict:
-    """Precedence: defaults < config file < command-line flags."""
-    values = dict(defaults)
-    if config_file:
-        file_values = read_config_file(config_file)
-        for key in file_values:
-            if key in values:
-                values[key] = type(values[key])(file_values[key]) \
-                    if not isinstance(values[key], bool) else file_values[key].lower() in ("1", "true", "yes")
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return values
+def config_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """The config file's key=value lines as command-line flags: key `a_b` is
+    `--a-b=value`, and a boolean option set to 1, true or yes is the bare flag."""
+    flags = []
+    for key, value in read_config_file(path).items():
+        if key in ("command", "fn", "config") or not hasattr(args, key):
+            raise CliError(f"{path}: unknown key: {key}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+    return flags
 
 
-def write_manifest(out_path: str, command: str, values: dict):
-    lines = [f"command={command}", f"artifact_version={__version__}"]
-    lines += [f"{k}={v}" for k, v in sorted(values.items())]
-    Path(str(out_path) + ".manifest").write_text("\n".join(lines) + "\n")
+def write_manifest(args: argparse.Namespace, **extra):
+    """Every parsed argument and the computed extras; an absent flag is empty."""
+    values = {k: v for k, v in {**vars(args), **extra}.items() if k not in ("command", "fn")}
+    lines = [f"command={args.command}", f"artifact_version={__version__}"]
+    lines += [f"{k}={'' if v is None else v}" for k, v in sorted(values.items())]
+    Path(str(args.out) + ".manifest").write_text("\n".join(lines) + "\n")
 
 
 def save_corpus(path: str, trips: list[Trip], pois: dict | None = None):
@@ -84,20 +85,21 @@ def load_corpus(path: str):
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read corpus file {path}: {exc}")
-    trips = [Trip(t["user_id"], tuple(PoiVisit(t["user_id"], v["poi_id"], v["t_a"], v["t_d"])
-                                      for v in t["visits"]))
-             for t in payload["trips"]]
-    pois = {pid: Poi(pid, rec["lat"], rec["lon"], rec.get("category"))
-            for pid, rec in payload.get("pois", {}).items()}
+    try:
+        trips = [Trip(t["user_id"], tuple(PoiVisit(t["user_id"], v["poi_id"], v["t_a"], v["t_d"])
+                                          for v in t["visits"]))
+                 for t in payload["trips"]]
+        pois = {pid: Poi(pid, rec["lat"], rec["lon"], rec.get("category"))
+                for pid, rec in payload.get("pois", {}).items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"malformed corpus file {path}: {exc!r}")
     return trips, pois
 
 
 def cmd_ingest(args) -> int:
-    values = resolve({"window": 28800, "gap_mode": False, "skip_bad_rows": False},
-                     args.config, args)
     try:
         with open(args.checkins) as fh:
-            records, skipped = ingest_checkins(fh, skip_bad_rows=values["skip_bad_rows"])
+            records, skipped = ingest_checkins(fh, skip_bad_rows=args.skip_bad_rows)
     except (OSError, CheckinError) as exc:
         raise CliError(f"{args.checkins}: {exc}")
     if not records:
@@ -110,10 +112,9 @@ def cmd_ingest(args) -> int:
         except (OSError, CheckinError) as exc:
             raise CliError(f"{args.pois}: {exc}")
     visits = aggregate_visits(records)
-    trips = extract_trips(visits, int(values["window"]), gap_mode=values["gap_mode"])
+    trips = extract_trips(visits, args.window, gap_mode=args.gap_mode)
     save_corpus(args.out, trips, pois)
-    write_manifest(args.out, "ingest", {**values, "checkins": args.checkins,
-                                        "pois": args.pois or "", "skipped_rows": skipped})
+    write_manifest(args, skipped_rows=skipped)
     stats = corpus_stats(trips)
     print(f"users          {stats['users']}")
     print(f"poi_visits     {stats['poi_visits']}")
@@ -123,43 +124,31 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    values = resolve({"runs": 100, "sample_fraction": 0.5, "significance": 0.05,
-                      "seed": 42}, args.config, args)
     trips, _ = load_corpus(args.corpus)
-    ipr = independent_pair_ratio(trips, float(values["sample_fraction"]),
-                                 int(values["runs"]), float(values["significance"]),
-                                 int(values["seed"]))
-    iur = impacted_user_ratio(trips, int(values["runs"]), int(values["seed"]))
+    ipr = independent_pair_ratio(trips, args.sample_fraction, args.runs, args.significance,
+                                 args.seed)
+    iur = impacted_user_ratio(trips, args.runs, args.seed)
     print(f"independent_pair_ratio {ipr:.4f}")
     print(f"impacted_user_ratio    {iur:.4f}")
     if args.out:
         Path(args.out).write_text(f"independent_pair_ratio={ipr!r}\n"
                                   f"impacted_user_ratio={iur!r}\n")
-        write_manifest(args.out, "analyze", values)
+        write_manifest(args)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    defaults = {"dim": 13, "learning_rate": 0.0005, "regularization": 0.02,
-                "negatives": 5, "epochs": 50, "seed": 42, "corrected_reg": False,
-                "shuffle": False, "mode": "full"}
-    values = resolve(defaults, args.config, args)
     trips, _ = load_corpus(args.corpus)
-    config = TrainConfig(dim=int(values["dim"]),
-                         learning_rate=float(values["learning_rate"]),
-                         regularization=float(values["regularization"]),
-                         negatives=int(values["negatives"]),
-                         max_iterations=int(values["epochs"]),
-                         rng_seed=int(values["seed"]),
-                         corrected_reg=bool(values["corrected_reg"]),
-                         shuffle=bool(values["shuffle"]),
-                         mode=values["mode"])
+    config = TrainConfig(dim=args.dim, learning_rate=args.learning_rate,
+                         regularization=args.regularization, negatives=args.negatives,
+                         max_iterations=args.epochs, rng_seed=args.seed,
+                         corrected_reg=args.corrected_reg, shuffle=args.shuffle, mode=args.mode)
     model = train(trips, config)
     if len(model.poi_vec) >= 2:
         model.zpair = compute_zpair(model)
     with open(args.out, "w") as fh:
         model.save(fh)
-    write_manifest(args.out, "train", {**values, "corpus": args.corpus})
+    write_manifest(args)
     print(f"trained d={config.dim} pois={len(model.poi_vec)} users={len(model.user_vec)}")
     return EXIT_OK
 
@@ -195,7 +184,7 @@ def _query_graph(args, model, trips, pois):
             raise CliError(f"no visit-time data for POI: {poi_id}")
     if args.user not in model.user_vec:
         raise CliError(f"unknown user: {args.user}")
-    query = Query(args.user, args.start, args.end, float(args.budget))
+    query = Query(args.user, args.start, args.end, args.budget)
     ctx = ScoreContext(model, query, zpair=model.zpair)
     candidates = reachable_candidates(query, tcm, model.poi_ids)
     graph = build_graph(ctx, query, tcm, candidates)
@@ -203,31 +192,26 @@ def _query_graph(args, model, trips, pois):
 
 
 def cmd_recommend(args) -> int:
-    values = resolve({"seed": 42, "solver": "alns", "runs": 5, "iterations": 1000},
-                     args.config, args)
     trips, pois = load_corpus(args.corpus)
     model = _load_model(args.model)
     query, ctx, graph = _query_graph(args, model, trips, pois)
     direct = [graph.start, graph.end]
     if not graph.feasible(direct).ok:
         raise CliError("no feasible trip", EXIT_INFEASIBLE)
-    if values["solver"] == "exact":
+    if args.solver == "exact":
         result = solve_exact(graph)
         if result is None:
             raise CliError("no feasible trip", EXIT_INFEASIBLE)
         trip, score = result.trip, result.objective
-    elif values["solver"] == "alns":
-        config = AlnsConfig(runs=int(values["runs"]), iterations=int(values["iterations"]),
-                            rng_seed=int(values["seed"]))
+    else:
+        config = AlnsConfig(runs=args.runs, iterations=args.iterations, rng_seed=args.seed)
         result = run_alns(graph, config, model, collect_trace=bool(args.trace))
         if args.trace:
             with open(args.trace, "w") as fh:
                 write_trace_csv(result.trace, fh)
         trip, score = result.trip, result.score
-    else:
-        raise CliError(f"unknown solver: {values['solver']}")
     total = graph.trip_cost(trip)
-    print(f"# solver={values['solver']} score={score!r} cost_s={total:.1f} budget_s={graph.budget:.1f}")
+    print(f"# solver={args.solver} score={score!r} cost_s={total:.1f} budget_s={graph.budget:.1f}")
     for k, v in enumerate(trip):
         if k == 0:
             print(f"{graph.poi_ids[v]} visit={graph.start_visit_cost:.0f}s")
@@ -236,44 +220,36 @@ def cmd_recommend(args) -> int:
             print(f"{graph.poi_ids[v]} leg={leg:.0f}s")
     if args.out:
         Path(args.out).write_text("\n".join(graph.poi_ids[v] for v in trip) + "\n")
-        write_manifest(args.out, "recommend", {**values, "user": args.user,
-                                               "start": args.start, "end": args.end,
-                                               "budget": args.budget})
+        write_manifest(args)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    values = resolve({"seed": 42, "solvers": "random,pop,alns", "mode": "full",
-                      "epochs": 50, "dim": 13, "shared_model": False,
-                      "runs": 2, "iterations": 200}, args.config, args)
     trips, pois = load_corpus(args.corpus)
-    train_config = TrainConfig(dim=int(values["dim"]), max_iterations=int(values["epochs"]),
-                               rng_seed=int(values["seed"]), mode=values["mode"])
-    alns_config = AlnsConfig(runs=int(values["runs"]), iterations=int(values["iterations"]),
-                             rng_seed=int(values["seed"]))
-    solvers = [s.strip() for s in str(values["solvers"]).split(",") if s.strip()]
+    train_config = TrainConfig(dim=args.dim, max_iterations=args.epochs, rng_seed=args.seed,
+                               mode=args.mode)
+    alns_config = AlnsConfig(runs=args.runs, iterations=args.iterations, rng_seed=args.seed)
+    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     report = evaluate(trips, solvers, train_config, alns_config,
-                      rng_seed=int(values["seed"]), shared_model=bool(values["shared_model"]), pois=pois)
+                      rng_seed=args.seed, shared_model=args.shared_model, pois=pois)
     print(report.summary_table())
     if report.errors:
         print(f"# {len(report.errors)} fold(s) failed and were excluded", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as fh:
             report.write_csv(fh)
-        write_manifest(args.out, "evaluate", values)
+        write_manifest(args)
     return EXIT_OK
 
 
 def cmd_export_lp(args) -> int:
-    resolve({}, args.config, args)  # no key to set; a malformed --config file is still an error
     trips, pois = load_corpus(args.corpus)
     model = _load_model(args.model)
     query, ctx, graph = _query_graph(args, model, trips, pois)
     ilp = build_ilp(graph)
     with open(args.out, "w") as fh:
         write_lp(ilp, fh)
-    write_manifest(args.out, "export-lp", {"user": args.user, "start": args.start,
-                                           "end": args.end, "budget": args.budget})
+    write_manifest(args)
     print(f"wrote {args.out}: |V|={graph.n}, {len(ilp.variables)} variables, "
           f"{len(ilp.constraints)} constraints")
     return EXIT_OK
@@ -285,44 +261,46 @@ def build_parser() -> argparse.ArgumentParser:
                                      "POI embeddings from check-ins and answer "
                                      "time-budgeted trip queries.")
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = ["full", "pop+pref", "pop-only"]
 
     def common(p):
         p.add_argument("--config", help="key=value config file")
 
     def seeded(p):
         common(p)
-        p.add_argument("--seed", type=int, help="random seed (default 42)")
+        p.add_argument("--seed", type=int, default=42, help="random seed (default %(default)s)")
 
     p = sub.add_parser("ingest", help="parse check-ins into a corpus file")
     p.add_argument("checkins")
     p.add_argument("--pois")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, help="trip window in seconds (default 28800)")
-    p.add_argument("--gap-mode", dest="gap_mode", action="store_const", const=True)
-    p.add_argument("--skip-bad-rows", dest="skip_bad_rows", action="store_const", const=True)
+    p.add_argument("--window", type=int, default=DEFAULT_TRIP_WINDOW,
+                   help="trip window in seconds (default %(default)s)")
+    p.add_argument("--gap-mode", action="store_true")
+    p.add_argument("--skip-bad-rows", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("analyze", help="corpus co-occurrence and popularity analyses")
     p.add_argument("corpus")
     p.add_argument("--out")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--sample-fraction", dest="sample_fraction", type=float)
-    p.add_argument("--significance", type=float)
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--sample-fraction", type=float, default=0.5)
+    p.add_argument("--significance", type=float, default=0.05)
     seeded(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("train", help="train the POI/user embedding model")
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--regularization", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--mode", choices=["full", "pop+pref", "pop-only"])
-    p.add_argument("--corrected-reg", dest="corrected_reg", action="store_const", const=True)
-    p.add_argument("--shuffle", action="store_const", const=True)
+    p.add_argument("--dim", type=int, default=TrainConfig.dim)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--regularization", type=float, default=TrainConfig.regularization)
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_iterations)
+    p.add_argument("--mode", choices=modes, default=TrainConfig.mode)
+    p.add_argument("--corrected-reg", action="store_true")
+    p.add_argument("--shuffle", action="store_true")
     seeded(p)
     p.set_defaults(fn=cmd_train)
 
@@ -332,16 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--end", required=True)
         p.add_argument("--budget", type=float, required=True, help="seconds")
         p.add_argument("--distances", help="CSV distance matrix in km")
-        p.add_argument("--walking-speed", dest="walking_speed", type=float,
-                       default=DEFAULT_WALKING_SPEED, help="km/h (default %(default)s)")
+        p.add_argument("--walking-speed", type=float, default=DEFAULT_WALKING_SPEED,
+                       help="km/h (default %(default)s)")
 
     p = sub.add_parser("recommend", help="answer a trip query")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     query_args(p)
-    p.add_argument("--solver", choices=["exact", "alns"])
-    p.add_argument("--runs", type=int)
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--solver", choices=["exact", "alns"], default="alns")
+    p.add_argument("--runs", type=int, default=AlnsConfig.runs)
+    p.add_argument("--iterations", type=int, default=AlnsConfig.iterations)
     p.add_argument("--trace", help="write the iteration trace CSV here")
     p.add_argument("--out")
     seeded(p)
@@ -349,13 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation")
     p.add_argument("corpus")
-    p.add_argument("--solvers", help="comma list: random,pop,alns,exact")
-    p.add_argument("--mode", choices=["full", "pop+pref", "pop-only"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--shared-model", dest="shared_model", action="store_const", const=True)
+    p.add_argument("--solvers", default="random,pop,alns",
+                   help="comma list: random,pop,alns,exact (default %(default)s)")
+    p.add_argument("--mode", choices=modes, default=TrainConfig.mode)
+    p.add_argument("--dim", type=int, default=TrainConfig.dim)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_iterations)
+    p.add_argument("--runs", type=int, default=2)
+    p.add_argument("--iterations", type=int, default=200)
+    p.add_argument("--shared-model", action="store_true")
     p.add_argument("--out")
     seeded(p)
     p.set_defaults(fn=cmd_evaluate)
@@ -372,13 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config flags go right after the subcommand, so command-line flags win
+            args = parser.parse_args(argv[:1] + config_flags(args.config, args) + argv[1:])
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (CheckinError, UnknownPoiError, ValueError) as exc:
+    except (CheckinError, UnknownPoiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, FloatingPointError, OverflowError) as exc:

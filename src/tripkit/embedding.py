@@ -154,15 +154,15 @@ class EmbeddingModel:
             parts = line.split()
             if not parts:
                 continue
+            if parts[0] not in ("P", "U", "ZPAIR") or len(parts) < (3 if parts[0] == "P" else 2):
+                raise ValueError(f"bad model file line: {line!r}")
             if parts[0] == "P":
                 poi_pop[parts[1]] = float(parts[2])
                 poi_vec[parts[1]] = np.array([float(c) for c in parts[3:]])
             elif parts[0] == "U":
                 user_vec[parts[1]] = np.array([float(c) for c in parts[2:]])
-            elif parts[0] == "ZPAIR":
-                zpair = float(parts[1])
             else:
-                raise ValueError(f"bad model file line: {line!r}")
+                zpair = float(parts[1])
         if len(poi_vec) != n_pois or len(user_vec) != n_users:
             raise ValueError("model file entry counts disagree with header")
         return cls(dim, poi_vec, poi_pop, user_vec, zpair=zpair)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,15 +83,6 @@ class PoiGraph:
         if not within_budget(cost, self.budget):
             return Feasibility(False, f"budget ({cost:.1f} > {self.budget:.1f})")
         return Feasibility(True)
-
-    def dump(self, sink: io.TextIOBase):
-        for i in range(self.n):
-            sink.write(f"V {i + 1} {self.poi_ids[i]} {self.vprofit[i]!r}\n")
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    sink.write(f"E {i + 1} {j + 1} {self.eprofit[i][j]!r} "
-                               f"{self.cost[i][j]!r}\n")
 
 
 def reachable_candidates(query: Query, tcm: TimeCostModel,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tripkit.checkins import (CheckinError, CheckinRecord, PoiVisit, TimeCostModel,
                               Trip, UnknownPoiError, aggregate_visits,
-                              compute_visit_times, cooccurrence_distribution,
+                              compute_visit_times, cooccurrence_counts,
                               corpus_stats, extract_trips, haversine_km,
                               impacted_user_ratio, independent_pair_ratio,
                               ingest_checkins, load_distance_matrix, load_pois,
@@ -204,34 +204,39 @@ class TestPoiFile:
 class TestCooccurrence:
     def test_single_partner(self):
         trips = [make_trip("u1", ["p1", "p2"], start=i * 10**6) for i in range(3)]
-        dist = cooccurrence_distribution("p1", trips, ["p1", "p2"])
-        assert dist.tolist() == [0.0, 1.0]
+        counts = cooccurrence_counts("p1", trips, {"p1": 0, "p2": 1})
+        assert counts.tolist() == [0, 3]
 
     def test_even_split(self):
         trips = ([make_trip("u1", ["p1", "p2"], start=i * 10**6) for i in range(2)]
                  + [make_trip("u1", ["p1", "p3"], start=(i + 5) * 10**6) for i in range(2)])
-        dist = cooccurrence_distribution("p1", trips, ["p1", "p2", "p3"])
-        assert dist.tolist() == [0.0, 0.5, 0.5]
+        counts = cooccurrence_counts("p1", trips, {"p1": 0, "p2": 1, "p3": 2})
+        assert counts.tolist() == [0, 2, 2]
 
     def test_singleton_trips_zero_vector(self):
         trips = [make_trip("u1", ["p1"]), make_trip("u2", ["p2", "p3"])]
-        dist = cooccurrence_distribution("p1", trips, ["p1", "p2", "p3"])
-        assert dist.tolist() == [0.0, 0.0, 0.0]
+        counts = cooccurrence_counts("p1", trips, {"p1": 0, "p2": 1, "p3": 2})
+        assert counts.tolist() == [0, 0, 0]
 
-    def test_sums_to_one_when_any(self):
+    def test_counts_every_partner_once_per_trip(self):
         rng = np.random.default_rng(3)
         pois = [f"p{i}" for i in range(6)]
         trips = [make_trip("u1", list(rng.choice(pois, size=3, replace=False)),
                            start=i * 10**6) for i in range(20)]
-        dist = cooccurrence_distribution("p0", trips, pois)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+        counts = cooccurrence_counts("p0", trips, {p: i for i, p in enumerate(pois)})
+        expected = [sum(1 for t in trips if "p0" in t.poi_ids and p in t.poi_ids)
+                    for p in pois]
+        expected[0] = 0
+        assert counts.tolist() == expected
+        assert counts.sum() == 2 * sum(1 for t in trips if "p0" in t.poi_ids)
 
 
 class TestIndependentPairRatio:
     def test_identical_counts_never_rejected(self):
         # p1 and p2 always co-occur with p3 the same way: identical counts
         trips = [make_trip("u1", ["p1", "p2", "p3"], start=i * 10**6) for i in range(30)]
-        ratio = independent_pair_ratio(trips, runs=5, rng_seed=1)
+        ratio = independent_pair_ratio(trips, sample_fraction=0.5, runs=5,
+                                       significance=0.05, rng_seed=1)
         assert ratio == 0.0
 
     def test_disjoint_supports_rejected(self):
@@ -244,7 +249,8 @@ class TestIndependentPairRatio:
         counts2 = np.array([0, 0, 40])
         stat, dof = two_sample_chi_square(counts1, counts2)
         assert stat > chi2.ppf(0.95, dof)
-        ratio = independent_pair_ratio(trips, sample_fraction=1.0, runs=3, rng_seed=1)
+        ratio = independent_pair_ratio(trips, sample_fraction=1.0, runs=3,
+                                       significance=0.05, rng_seed=1)
         # every pair involving p1/p2 against their disjoint partners rejects;
         # at minimum the (p1, p2) pair does
         assert ratio > 0.0
@@ -252,13 +258,16 @@ class TestIndependentPairRatio:
     def test_deterministic_under_seed(self):
         trips = ([make_trip("u1", ["p1", "a"], start=i * 10**6) for i in range(20)]
                  + [make_trip("u1", ["p2", "b"], start=(i + 50) * 10**6) for i in range(20)])
-        r1 = independent_pair_ratio(trips, runs=10, rng_seed=9)
-        r2 = independent_pair_ratio(trips, runs=10, rng_seed=9)
+        r1 = independent_pair_ratio(trips, sample_fraction=0.5, runs=10,
+                                    significance=0.05, rng_seed=9)
+        r2 = independent_pair_ratio(trips, sample_fraction=0.5, runs=10,
+                                    significance=0.05, rng_seed=9)
         assert r1 == r2
 
     def test_needs_two_pois(self):
         with pytest.raises(ValueError):
-            independent_pair_ratio([make_trip("u1", ["p1"])], runs=1)
+            independent_pair_ratio([make_trip("u1", ["p1"])], sample_fraction=0.5, runs=1,
+                                   significance=0.05, rng_seed=42)
 
 
 class TestImpactedUserRatio:
@@ -291,7 +300,7 @@ class TestImpactedUserRatio:
 
     def test_needs_two_users(self):
         with pytest.raises(ValueError):
-            impacted_user_ratio([make_trip("u1", ["p1", "p2"])], runs=1)
+            impacted_user_ratio([make_trip("u1", ["p1", "p2"])], runs=1, rng_seed=42)
 
 
 class TestCorpusStats:

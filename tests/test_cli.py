@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 import tripkit.alns
 import tripkit.cli
 import tripkit.scoring
-from tripkit.cli import main
-from tripkit.embedding import EmbeddingModel
+from tripkit.cli import load_corpus, main
+from tripkit.embedding import EmbeddingModel, TrainConfig, train
+from tripkit.scoring import compute_zpair
 from lp_reader import read_lp
 
 
@@ -126,6 +128,16 @@ class TestTrain:
         manifest = (workspace["root"] / "model3.txt.manifest").read_text()
         assert "epochs=1" in manifest  # config file beats default
 
+    def test_defaults_reach_library(self, workspace):
+        out = workspace["root"] / "model_defaults.txt"
+        assert main(["train", str(workspace["corpus"]), "--out", str(out)]) == 0
+        trips, _ = load_corpus(str(workspace["corpus"]))
+        model = train(trips, TrainConfig())
+        model.zpair = compute_zpair(model)
+        buf = io.StringIO()
+        model.save(buf)
+        assert out.read_text() == buf.getvalue()
+
     def test_bad_corpus_exit_2(self, tmp_path):
         garbled = tmp_path / "corpus.json"
         garbled.write_text("{not json")
@@ -219,7 +231,9 @@ class TestRecommend:
                      "--iterations", "20", "--out", str(out)]) == 0
         trip = out.read_text().splitlines()
         assert len(trip) >= 2
-        assert "command=recommend" in (workspace["root"] / "trip.txt.manifest").read_text()
+        manifest = (workspace["root"] / "trip.txt.manifest").read_text().splitlines()
+        assert manifest[0] == "command=recommend"
+        assert "walking_speed=4.0" in manifest and "distances=" in manifest
 
 
 class TestEvaluate:
@@ -255,6 +269,98 @@ class TestExportLp:
             model = read_lp(fh)
         assert model.n >= 2
         assert any(c.cid == "budget" for c in model.constraints)
+
+
+class TestConfigFile:
+    def test_export_lp_walking_speed(self, workspace, tmp_path):
+        cfg = tmp_path / "lp.cfg"
+        cfg.write_text("walking_speed=5.5\n")
+        lp = {}
+        for name, extra in [("default", []), ("flag", ["--walking-speed", "5.5"]),
+                            ("config", ["--config", str(cfg)])]:
+            out = tmp_path / f"{name}.lp"
+            assert main(["export-lp", *query_flags(workspace), "--out", str(out), *extra]) == 0
+            lp[name] = out.read_text()
+        assert lp["config"] == lp["flag"] != lp["default"]
+        assert "walking_speed=5.5" in (tmp_path / "config.lp.manifest").read_text().splitlines()
+
+    def test_unknown_key_exit_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("epoch=3\n")
+        out = tmp_path / "m.txt"
+        assert main(["train", str(workspace["corpus"]), "--out", str(out),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key: epoch" in err and str(cfg) in err
+        assert not out.exists()
+
+    def test_invalid_choice_exit_2(self, workspace, tmp_path):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("solver=nosuch\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["recommend", *query_flags(workspace), "--config", str(cfg)])
+        assert exc.value.code == 2
+
+    def test_boolean_key(self, workspace, tmp_path):
+        cfg = tmp_path / "shuffle.cfg"
+        cfg.write_text("shuffle=true\n")
+        flags = ["--dim", "4", "--epochs", "5"]
+        assert main(["train", str(workspace["corpus"]), "--out", str(tmp_path / "cfg.txt"),
+                     "--config", str(cfg), *flags]) == 0
+        assert main(["train", str(workspace["corpus"]), "--out", str(tmp_path / "flag.txt"),
+                     "--shuffle", *flags]) == 0
+        assert (tmp_path / "cfg.txt").read_bytes() == (tmp_path / "flag.txt").read_bytes()
+        assert (tmp_path / "cfg.txt").read_bytes() != workspace["model"].read_bytes()
+
+
+def bad_corpus(text):
+    def make(workspace, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        return ["train", str(path), "--out", str(tmp_path / "m.txt")], str(path)
+    return make
+
+
+def bad_model(line):
+    def make(workspace, tmp_path):
+        path = tmp_path / "bad_model.txt"
+        path.write_text(f"CAPE v1 d=4 pois=1 users=0\n{line}\n")
+        flags = query_flags(workspace)
+        flags[flags.index("--model") + 1] = str(path)
+        return ["recommend", *flags], "bad model file line: " + repr(line + "\n")
+    return make
+
+
+def missing_config(workspace, tmp_path):
+    return ["train", str(workspace["corpus"]), "--out", str(tmp_path / "m.txt"),
+            "--config", str(tmp_path / "nope.cfg")], "nope.cfg"
+
+
+def missing_distances(workspace, tmp_path):
+    return ["recommend", *query_flags(workspace),
+            "--distances", str(tmp_path / "nope.csv")], "nope.csv"
+
+
+def out_in_missing_dir(workspace, tmp_path):
+    return ["train", str(workspace["corpus"]), "--epochs", "1",
+            "--out", str(tmp_path / "nodir" / "m.txt")], "nodir"
+
+
+@pytest.mark.parametrize("make", [
+    bad_corpus('{"version": 1}'),
+    bad_corpus('{"trips": [{"user_id": "u1", "visits": [{"poi_id": "p1", "t_d": 5}]}]}'),
+    bad_corpus("[]"),
+    bad_model("P p1"),
+    bad_model("ZPAIR"),
+    missing_config,
+    missing_distances,
+    out_in_missing_dir,
+], ids=["corpus-no-trips", "visit-no-t_a", "corpus-list", "model-short-P",
+        "model-bare-ZPAIR", "missing-config", "missing-distances", "out-dir-missing"])
+def test_malformed_input_exit_2(make, workspace, tmp_path, capsys):
+    argv, needle = make(workspace, tmp_path)
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -193,22 +192,3 @@ class TestBuildGraph:
         model, ctx, query, tcm, ids = toy_setup(seed=27)
         with pytest.raises(KeyError):
             build_graph(ctx, query, tcm, ids + ["nope"])
-
-
-class TestDump:
-    def test_line_counts(self):
-        g = random_graph(30, n=5)
-        buf = io.StringIO()
-        g.dump(buf)
-        lines = buf.getvalue().splitlines()
-        v_lines = [l for l in lines if l.startswith("V ")]
-        e_lines = [l for l in lines if l.startswith("E ")]
-        assert len(v_lines) == 5
-        assert len(e_lines) == 5 * 4
-
-    def test_round_trip_floats(self):
-        g = random_graph(31, n=4)
-        buf = io.StringIO()
-        g.dump(buf)
-        first_v = buf.getvalue().splitlines()[1].split()
-        assert float(first_v[3]) == g.vprofit[1]
