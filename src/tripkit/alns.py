@@ -98,19 +98,23 @@ def removal_count(trip_len: int, fraction: float) -> int:
     return math.ceil(fraction * max(trip_len - 2, 0))
 
 
-def insertion_cost(graph: PoiGraph, trip: Sequence[int], v: int, pos: int) -> float:
-    a, b = trip[pos - 1], trip[pos]
-    cost = graph.cost
-    return cost[a][v] + cost[v][b] - cost[a][b]
+Leg = tuple[int, int, float]  # (a, b, cost[a][b]) for consecutive trip vertices a, b
 
 
-def cheapest_insertion(graph: PoiGraph, trip: Sequence[int], v: int) -> tuple[int, float]:
+def trip_legs(graph: PoiGraph, trip: Sequence[int]) -> list[Leg]:
     cost = graph.cost
-    into_v, out_v = [row[v] for row in cost], cost[v]
+    return [(a, b, cost[a][b]) for a, b in zip(trip, trip[1:])]
+
+
+def cheapest_insertion(graph: PoiGraph, legs: Sequence[Leg], v: int) -> tuple[int, float]:
+    """The first position (1 = between the trip's first two vertices) with the
+    least cost delta of inserting v, over the trip's `trip_legs`."""
+    into_v, out_v = graph.cost_in[v], graph.cost[v]
     best_pos, best_delta = 1, math.inf
-    for pos in range(1, len(trip)):
-        a, b = trip[pos - 1], trip[pos]
-        delta = into_v[a] + out_v[b] - cost[a][b]
+    pos = 0
+    for a, b, cost_ab in legs:
+        pos += 1
+        delta = into_v[a] + out_v[b] - cost_ab
         if delta < best_delta:
             best_pos, best_delta = pos, delta
     return best_pos, best_delta
@@ -149,18 +153,30 @@ def greedy_extend(graph: PoiGraph, trip: Sequence[int],
     """The one loop that inserts vertices, each at its cheapest position,
     under the budget. While some interior vertex is unvisited, `choose` sees
     the current trip and the options that fit (possibly none) and returns one
-    of them, or None to stop."""
+    of them, or None to stop.
+
+    Each unvisited vertex's cheapest insertion is carried from one step to the
+    next: inserting v at pos replaces edge pos by the edges pos and pos + 1 and
+    shifts the later edges by one, so a vertex whose best edge survived takes
+    the least (delta, pos) of it and the two new edges, the first minimum that
+    a full scan would find. A vertex whose best edge was replaced keeps only a
+    lower bound on its delta (pos 0), and is rescanned once that bound fits."""
     trip = list(trip)
     used = set(trip)
     cost = graph.trip_cost(trip)
+    edge_cost, cost_in = graph.cost, graph.cost_in
+    legs = trip_legs(graph, trip)
+    # unvisited vertex -> (pos, delta) of its cheapest insertion, in ascending order
+    best = {v: cheapest_insertion(graph, legs, v) for v in graph.interior() if v not in used}
     while len(used) < graph.n:
         options = []
-        for v in graph.interior():
-            if v in used:
-                continue
-            pos, delta = cheapest_insertion(graph, trip, v)
+        for w, (pos, delta) in best.items():
             if within_budget(cost + delta, graph.budget):
-                options.append((v, pos, delta))
+                if pos == 0:
+                    pos, delta = best[w] = cheapest_insertion(graph, legs, w)
+                    if not within_budget(cost + delta, graph.budget):
+                        continue
+                options.append((w, pos, delta))
         picked = choose(trip, options)
         if picked is None:
             break
@@ -168,6 +184,22 @@ def greedy_extend(graph: PoiGraph, trip: Sequence[int],
         trip.insert(pos, v)
         used.add(v)
         cost += delta
+        del best[v]
+        a, b = trip[pos - 1], trip[pos + 1]
+        cost_av, cost_vb = edge_cost[a][v], edge_cost[v][b]
+        legs[pos - 1:pos] = [(a, v, cost_av), (v, b, cost_vb)]
+        for w, (w_pos, w_delta) in best.items():
+            into_w, out_w = cost_in[w], edge_cost[w]
+            new_pos, new_delta = pos, into_w[a] + out_w[v] - cost_av
+            delta_vb = into_w[v] + out_w[b] - cost_vb
+            if delta_vb < new_delta:
+                new_pos, new_delta = pos + 1, delta_vb
+            if w_pos == 0 or w_pos == pos:
+                best[w] = (0, min(w_delta, new_delta))
+            elif w_delta < new_delta or (w_delta == new_delta and w_pos < pos):
+                best[w] = (w_pos + (w_pos > pos), w_delta)
+            else:
+                best[w] = (new_pos, new_delta)
     return trip
 
 
@@ -186,6 +218,45 @@ def _choose_best_ratio(graph: PoiGraph):
         gain = profit_increment(graph, trip, o[0])
         return gain / o[2] if o[2] > 0 else math.inf
     return lambda trip, opts: max(opts, key=lambda o: (ratio(trip, o), -o[0]), default=None)
+
+
+def _choose_highest_potential(graph: PoiGraph):
+    """The option with the most profit from itself plus the best second
+    vertex that still fits after it; the most profit alone if no pair fits."""
+    edge_cost, cost_in = graph.cost, graph.cost_in
+
+    def choose(cur, opts):
+        if not opts:
+            return None
+        cost = graph.trip_cost(cur)
+        best = None
+        for v, pos, delta in opts:
+            gain_v = profit_increment(graph, cur, v)
+            candidate = list(cur)
+            candidate.insert(pos, v)
+            a, b = cur[pos - 1], cur[pos]
+            cost_av, cost_vb = edge_cost[a][v], edge_cost[v][b]
+            for w, w_pos, w_delta in opts:
+                if w == v:
+                    continue
+                # w's least delta after v: its old best or one of the two new
+                # edges, unless its old best edge is the one v replaced
+                into_w, out_w = cost_in[w], edge_cost[w]
+                delta_w = min(w_delta, into_w[a] + out_w[v] - cost_av,
+                              into_w[v] + out_w[b] - cost_vb)
+                if w_pos == pos and delta_w == w_delta:
+                    _, delta_w = cheapest_insertion(graph, trip_legs(graph, candidate), w)
+                if not within_budget(cost + delta + delta_w, graph.budget):
+                    continue
+                pair_gain = gain_v + profit_increment(graph, candidate, w)
+                key = (pair_gain, -v)
+                if best is None or key > best[0]:
+                    best = (key, (v, pos, delta))
+        if best is not None:
+            return best[1]
+        # no feasible pair: fall back to the single best profit insertion
+        return max(opts, key=lambda o: (profit_increment(graph, cur, o[0]), -o[0]))
+    return choose
 
 
 def init_pool(graph: PoiGraph, capacity: int) -> SolutionPool:
@@ -243,11 +314,34 @@ def destroy(graph: PoiGraph, trip: Sequence[int], operator: str,
     return trip
 
 
+class _PivotDistances(dict):
+    """pivot -> {interior vertex: distance from the pivot}, filled on first
+    use: the embedding distance under a model, else the outgoing edge cost.
+    run_alns keeps one for its whole call and hands it to `build` as the model."""
+
+    def __init__(self, graph: PoiGraph, model: EmbeddingModel | None):
+        super().__init__()
+        self.graph, self.model = graph, model
+
+    def __missing__(self, pivot: int) -> dict[int, float]:
+        graph, model = self.graph, self.model
+        if model is not None:
+            pivot_vec = model.vec(graph.poi_ids[pivot])
+            dist = {v: float(np.linalg.norm(pivot_vec - model.vec(graph.poi_ids[v])))
+                    for v in graph.interior()}
+        else:
+            dist = {v: graph.cost[pivot][v] for v in graph.interior()}
+        self[pivot] = dist
+        return dist
+
+
 def build(graph: PoiGraph, trip: Sequence[int], operator: str,
           rng: np.random.Generator,
-          model: EmbeddingModel | None = None) -> list[int]:
+          model: EmbeddingModel | _PivotDistances | None = None) -> list[int]:
     """Insert unvisited vertices (cheapest position each) per the operator's
-    rule until no single insertion fits."""
+    rule until no single insertion fits. `most_similarity` orders them by
+    distance from a random pivot of the trip, measured in `model`'s embedding
+    if given, else by edge cost."""
     trip = list(trip)
     if operator == "most_profit":
         return greedy_extend(graph, trip, _choose_most_profit(graph))
@@ -255,39 +349,13 @@ def build(graph: PoiGraph, trip: Sequence[int], operator: str,
         return greedy_extend(graph, trip, _choose_least_cost(graph))
     if operator == "most_similarity":
         pivot = trip[int(rng.integers(len(trip)))]
-        if model is not None:
-            pivot_vec = model.vec(graph.poi_ids[pivot])
-            dist = {v: float(np.linalg.norm(pivot_vec - model.vec(graph.poi_ids[v])))
-                    for v in graph.interior()}
-        else:
-            dist = {v: graph.cost[pivot][v] for v in graph.interior()}
+        similarity = model if isinstance(model, _PivotDistances) else \
+            _PivotDistances(graph, model)
+        dist = similarity[pivot]
         return greedy_extend(graph, trip, lambda cur, opts: min(
             opts, key=lambda o: (dist[o[0]], o[0]), default=None))
     if operator == "highest_potential":
-        def choose(cur, opts):
-            if not opts:
-                return None
-            cost = graph.trip_cost(cur)
-            best = None
-            for v, pos, delta in opts:
-                gain_v = profit_increment(graph, cur, v)
-                candidate = list(cur)
-                candidate.insert(pos, v)
-                for w, _, _ in opts:
-                    if w == v:
-                        continue
-                    _, delta_w = cheapest_insertion(graph, candidate, w)
-                    if not within_budget(cost + delta + delta_w, graph.budget):
-                        continue
-                    pair_gain = gain_v + profit_increment(graph, candidate, w)
-                    key = (pair_gain, -v)
-                    if best is None or key > best[0]:
-                        best = (key, (v, pos, delta))
-            if best is not None:
-                return best[1]
-            # no feasible pair: fall back to the single best profit insertion
-            return max(opts, key=lambda o: (profit_increment(graph, cur, o[0]), -o[0]))
-        return greedy_extend(graph, trip, choose)
+        return greedy_extend(graph, trip, _choose_highest_potential(graph))
     raise ValueError(f"unknown build operator: {operator}")
 
 
@@ -304,19 +372,21 @@ def local_search(graph: PoiGraph, trip: Sequence[int]) -> list[int]:
     while improved:
         improved = False
         for i in range(len(trip) - 3):
+            # the leg costs inside the segment trip[i+1..j], forward and
+            # reversed, summed left to right as j grows and again after a reversal
+            internal_old = internal_new = 0.0
             for j in range(i + 2, len(trip) - 1):
                 a, b = trip[i], trip[i + 1]
                 c, d = trip[j], trip[j + 1]
+                internal_old += cost[trip[j - 1]][c]
+                internal_new += cost[c][trip[j - 1]]
                 old = cost[a][b] + cost[c][d]
                 new = cost[a][c] + cost[b][d]
-                segment = trip[i + 1:j + 1]
-                internal_old = sum(cost[segment[k]][segment[k + 1]]
-                                   for k in range(len(segment) - 1))
-                internal_new = sum(cost[segment[k + 1]][segment[k]]
-                                   for k in range(len(segment) - 1))
                 if new + internal_new < old + internal_old - 1e-12:
-                    trip[i + 1:j + 1] = segment[::-1]
+                    trip[i + 1:j + 1] = trip[j:i:-1]
                     improved = True
+                    internal_old = sum(cost[trip[k]][trip[k + 1]] for k in range(i + 1, j))
+                    internal_new = sum(cost[trip[k + 1]][trip[k]] for k in range(i + 1, j))
     return trip
 
 
@@ -358,6 +428,7 @@ def run_alns(graph: PoiGraph, config: AlnsConfig | None = None,
              collect_trace: bool = False) -> AlnsResult:
     """Multi-run ALNS (seeded, deterministic); returns the best trip found."""
     config = config or AlnsConfig()
+    similarity = _PivotDistances(graph, model)
     pool = init_pool(graph, config.pool_size)
     global_trip, global_score = pool.best()
     trace: list[dict] = []
@@ -375,7 +446,7 @@ def run_alns(graph: PoiGraph, config: AlnsConfig | None = None,
             d_op = roulette_select(d_weights, rng)
             b_op = roulette_select(b_weights, rng)
             partial = destroy(graph, current, d_op, config, rng)
-            candidate = build(graph, partial, b_op, rng, model)
+            candidate = build(graph, partial, b_op, rng, similarity)
             candidate = local_search(graph, candidate)
             verdict = graph.feasible(candidate)
             if not verdict.ok:

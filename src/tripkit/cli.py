@@ -357,7 +357,14 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # config flags go right after the subcommand, so command-line flags win
-            args = parser.parse_args(argv[:1] + config_flags(args.config, args) + argv[1:])
+            args, extra = parser.parse_known_args(
+                argv[:1] + config_flags(args.config, args) + argv[1:])
+            if extra:
+                # the command line parsed alone, so a leftover flag came from a
+                # key that names a positional argument
+                key = extra[0][2:].split("=", 1)[0].replace("-", "_")
+                raise CliError(f"{args.config}: {key} cannot be set in a config "
+                               f"file; give it on the command line")
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,25 +106,6 @@ class EmbeddingModel:
     def csim(self, a: str, b: str) -> float:
         return float(self.vec(a) @ self.vec(b))
 
-    def scores(self, context: Iterable[str] | None, user_id: str | None) -> dict[str, float]:
-        """Unnormalized log-probability of each POI given the context parts present."""
-        base = np.zeros(self.dim)
-        if user_id is not None:
-            base = base + self.user(user_id)
-        if context is not None:
-            base = base + self.context_vector(context)
-        return {p: float(self.poi_vec[p] @ base) + self.poi_pop[p] for p in self.poi_vec}
-
-    def prob_full(self, poi_id: str, context: Iterable[str] | None = None,
-                  user_id: str | None = None) -> float:
-        """Softmax probability of poi_id; absent context parts are zeroed out."""
-        scores = self.scores(context, user_id)
-        if poi_id not in scores:
-            raise UnknownPoiError(f"unknown POI: {poi_id}")
-        mx = max(scores.values())
-        z = sum(math.exp(s - mx) for s in scores.values())
-        return math.exp(scores[poi_id] - mx) / z
-
     # --- serialization -------------------------------------------------
 
     def save(self, sink: io.TextIOBase):
@@ -282,20 +263,3 @@ def train(trips: Sequence[Trip], config: TrainConfig | None = None) -> Embedding
                 sgd_step(model, obs, neg, config)
         model.assert_finite()
     return model
-
-
-def bpr_objective(trips: Sequence[Trip], model: EmbeddingModel,
-                  config: TrainConfig, rng_seed: int = 42) -> float:
-    """Monte-Carlo estimate of the regularized BPR log-likelihood (monitoring only)."""
-    rng = np.random.default_rng(rng_seed)
-    all_pois = model.poi_ids
-    total = 0.0
-    for t in trips:
-        for obs in observations_from_trip(t):
-            for neg in sample_negatives(obs.trip_pois, all_pois, config.negatives, rng):
-                z = bpr_margin(model, obs.target, neg, sorted(obs.context), obs.user_id)
-                total += math.log(sigmoid(z))
-    norm = sum(float(v @ v) for v in model.poi_vec.values())
-    norm += sum(float(v @ v) for v in model.user_vec.values())
-    norm += sum(p * p for p in model.poi_pop.values())
-    return total - config.regularization * norm

@@ -173,8 +173,10 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
              shared_model: bool = False,
              pois=None) -> EvalReport:
     """Per-fold train + solve + score. shared_model trains once on the full
-    corpus (faster, approximate leave-one-out). An unknown solver name raises
-    ValueError before any training."""
+    corpus (faster, approximate leave-one-out). An empty solver list or an
+    unknown solver name raises ValueError before any training."""
+    if not solvers:
+        raise ValueError("no solvers given")
     solver_fns = make_solvers(alns_config or AlnsConfig())
     unknown = [name for name in solvers if name not in solver_fns]
     if unknown:

@@ -1,5 +1,5 @@
 """Exact solving: the linearized integer program, its LP-format text export,
-assignment checking, and a branch-and-bound optimizer with a brute-force oracle."""
+and a branch-and-bound optimizer with a brute-force oracle."""
 
 from __future__ import annotations
 
@@ -7,12 +7,10 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .graph import PoiGraph, within_budget
 
 BRUTE_FORCE_GUARD = 12
-FLOAT_TOL = 1e-9
 
 
 @dataclass
@@ -21,14 +19,6 @@ class Constraint:
     coeffs: dict[str, float]
     sense: str  # '<=', '>=', '='
     rhs: float
-
-    def satisfied(self, assignment: dict[str, float], tol: float = FLOAT_TOL) -> bool:
-        lhs = sum(c * assignment[v] for v, c in self.coeffs.items())
-        if self.sense == "<=":
-            return lhs <= self.rhs + tol
-        if self.sense == ">=":
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
 
 
 @dataclass
@@ -54,9 +44,6 @@ class IlpModel:
     @property
     def variables(self) -> list[str]:
         return self.binaries + self.generals
-
-    def objective_value(self, assignment: dict[str, float]) -> float:
-        return sum(c * assignment[v] for v, c in self.objective.items())
 
 
 def xvar(i: int, j: int) -> str:
@@ -122,48 +109,6 @@ def build_ilp(graph: PoiGraph) -> IlpModel:
                 coeffs[pvar(j)] = -1.0
             cons.append(Constraint(f"pos_{i}_{j}", coeffs, "<=", big - 1.0))
     return IlpModel(n, objective, cons, binaries, generals, bounds)
-
-
-def check_assignment(model: IlpModel, assignment: dict[str, float],
-                     tol: float = FLOAT_TOL) -> dict:
-    """Evaluate every constraint and the objective for a complete assignment."""
-    missing = [v for v in model.variables if v not in assignment]
-    if missing:
-        raise ValueError(f"assignment missing variables: {missing[:5]}")
-    violated = []
-    for v in model.binaries:
-        if assignment[v] not in (0, 1, 0.0, 1.0):
-            violated.append(f"binary_{v}")
-    for v, (lo, hi) in model.bounds.items():
-        if not lo - tol <= assignment[v] <= hi + tol:
-            violated.append(f"bound_{v}")
-    violated += [c.cid for c in model.constraints if not c.satisfied(assignment, tol)]
-    return {
-        "feasible": not violated,
-        "violated": violated,
-        "objective": model.objective_value(assignment),
-    }
-
-
-def encode_trip(model: IlpModel, trip: Sequence[int]) -> dict[str, float]:
-    """Assignment encoding a vertex-index trip (0-based indices, as in PoiGraph)."""
-    n = model.n
-    one_based = [v + 1 for v in trip]
-    assignment = {v: 0.0 for v in model.variables}
-    for a, b in zip(one_based, one_based[1:]):
-        assignment[xvar(a, b)] = 1.0
-    selected = set(one_based) | {1, n}
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if i in selected and j in selected:
-                assignment[xpvar(i, j)] = 1.0
-    for pos, v in enumerate(one_based, start=1):
-        if v >= 2:
-            assignment[pvar(v)] = float(pos)
-    for i in range(2, n + 1):
-        if i not in selected:
-            assignment[pvar(i)] = 2.0
-    return assignment
 
 
 def write_lp(model: IlpModel, sink: io.TextIOBase):

@@ -27,8 +27,9 @@ class PoiGraph:
 
     Vertex profits `vprofit` are query closeness (0 at the endpoints), edge
     profits `eprofit` pairwise similarity, edge costs `cost` = visit time of
-    the target plus transit. Any n x n input (lists or arrays) is stored as
-    plain lists of floats, which the solvers index in their inner loops.
+    the target plus transit, and `cost_in` its transpose (the costs into each
+    vertex). Any n x n input (lists or arrays) is stored as plain lists of
+    floats, which the solvers index in their inner loops.
     """
 
     def __init__(self, poi_ids: Sequence[str], vprofit: Sequence[float],
@@ -39,6 +40,7 @@ class PoiGraph:
         self.vprofit = [float(p) for p in vprofit]
         self.eprofit = [[float(p) for p in row] for row in eprofit]
         self.cost = [[float(c) for c in row] for row in cost]
+        self.cost_in = [list(col) for col in zip(*self.cost)]  # cost_in[v][a] == cost[a][v]
         self.budget = float(budget)
         self.start_visit_cost = float(start_visit_cost)
         if self.n < 2:

@@ -1,11 +1,10 @@
-"""Trip quality scoring: query closeness, pairwise co-occurrence similarity,
-and the combined trip score."""
+"""Trip quality scoring: query closeness and pairwise co-occurrence similarity,
+with their normalizers."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,22 +52,6 @@ class ScoreContext:
         if a == b:
             raise ValueError("ncsim is defined for distinct POIs only")
         return math.exp(self.model.csim(a, b)) / self.z_pair
-
-    def ctq_score(self, trip: Sequence[str]) -> float:
-        """Sum of interior closeness plus interior pairwise similarity;
-        endpoints contribute nothing."""
-        if len(trip) < 2 or trip[0] != self.query.start or trip[-1] != self.query.end:
-            raise ValueError("trip must start at the query start and end at the query end")
-        interior = list(trip[1:-1])
-        if len(set(interior)) != len(interior):
-            raise ValueError("interior POIs must be distinct")
-        if self.query.start in interior or self.query.end in interior:
-            raise ValueError("interior POIs must differ from the endpoints")
-        score = sum(self.closeness(p) for p in interior)
-        for i in range(len(interior)):
-            for j in range(i + 1, len(interior)):
-                score += self.ncsim(interior[i], interior[j])
-        return score
 
 
 def compute_zpair(model: EmbeddingModel) -> float:

@@ -1,0 +1,256 @@
+"""Reference code that the tests compare tripkit against, and helpers that
+only tests call.
+
+The ALNS part is the straightforward form of the build and 2-opt layers: it
+rescans every gap for every vertex at every insertion and re-sums every 2-opt
+segment. `tripkit.alns` carries that state between steps instead, and
+`test_oracles.py` checks that both give the same lists, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from tripkit.checkins import Trip, UnknownPoiError
+from tripkit.embedding import (EmbeddingModel, TrainConfig, bpr_margin,
+                               observations_from_trip, sample_negatives, sigmoid)
+from tripkit.exact import Constraint, IlpModel, pvar, xpvar, xvar
+from tripkit.alns import profit_increment
+from tripkit.graph import PoiGraph, within_budget
+from tripkit.scoring import ScoreContext
+
+# --- ALNS build and 2-opt, rescanning ------------------------------------------
+
+
+def insertion_cost(graph: PoiGraph, trip: Sequence[int], v: int, pos: int) -> float:
+    a, b = trip[pos - 1], trip[pos]
+    cost = graph.cost
+    return cost[a][v] + cost[v][b] - cost[a][b]
+
+
+def cheapest_insertion(graph: PoiGraph, trip: Sequence[int], v: int) -> tuple[int, float]:
+    cost = graph.cost
+    into_v, out_v = [row[v] for row in cost], cost[v]
+    best_pos, best_delta = 1, math.inf
+    for pos in range(1, len(trip)):
+        a, b = trip[pos - 1], trip[pos]
+        delta = into_v[a] + out_v[b] - cost[a][b]
+        if delta < best_delta:
+            best_pos, best_delta = pos, delta
+    return best_pos, best_delta
+
+
+def greedy_extend(graph: PoiGraph, trip: Sequence[int],
+                  choose: Callable[[list[int], list], object]) -> list[int]:
+    trip = list(trip)
+    used = set(trip)
+    cost = graph.trip_cost(trip)
+    while len(used) < graph.n:
+        options = []
+        for v in graph.interior():
+            if v in used:
+                continue
+            pos, delta = cheapest_insertion(graph, trip, v)
+            if within_budget(cost + delta, graph.budget):
+                options.append((v, pos, delta))
+        picked = choose(trip, options)
+        if picked is None:
+            break
+        v, pos, delta = picked
+        trip.insert(pos, v)
+        used.add(v)
+        cost += delta
+    return trip
+
+
+def choose_highest_potential(graph: PoiGraph):
+    def choose(cur, opts):
+        if not opts:
+            return None
+        cost = graph.trip_cost(cur)
+        best = None
+        for v, pos, delta in opts:
+            gain_v = profit_increment(graph, cur, v)
+            candidate = list(cur)
+            candidate.insert(pos, v)
+            for w, _, _ in opts:
+                if w == v:
+                    continue
+                _, delta_w = cheapest_insertion(graph, candidate, w)
+                if not within_budget(cost + delta + delta_w, graph.budget):
+                    continue
+                pair_gain = gain_v + profit_increment(graph, candidate, w)
+                key = (pair_gain, -v)
+                if best is None or key > best[0]:
+                    best = (key, (v, pos, delta))
+        if best is not None:
+            return best[1]
+        # no feasible pair: fall back to the single best profit insertion
+        return max(opts, key=lambda o: (profit_increment(graph, cur, o[0]), -o[0]))
+    return choose
+
+
+def local_search(graph: PoiGraph, trip: Sequence[int]) -> list[int]:
+    trip = list(trip)
+    if len(trip) <= 3:
+        return trip
+    cost = graph.cost
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(trip) - 3):
+            for j in range(i + 2, len(trip) - 1):
+                a, b = trip[i], trip[i + 1]
+                c, d = trip[j], trip[j + 1]
+                old = cost[a][b] + cost[c][d]
+                new = cost[a][c] + cost[b][d]
+                segment = trip[i + 1:j + 1]
+                internal_old = sum(cost[segment[k]][segment[k + 1]]
+                                   for k in range(len(segment) - 1))
+                internal_new = sum(cost[segment[k + 1]][segment[k]]
+                                   for k in range(len(segment) - 1))
+                if new + internal_new < old + internal_old - 1e-12:
+                    trip[i + 1:j + 1] = segment[::-1]
+                    improved = True
+    return trip
+
+
+def similarity_distances(graph: PoiGraph, model: EmbeddingModel | None,
+                         pivot: int) -> dict[int, float]:
+    """The `most_similarity` operator's distances from its pivot."""
+    if model is not None:
+        pivot_vec = model.vec(graph.poi_ids[pivot])
+        return {v: float(np.linalg.norm(pivot_vec - model.vec(graph.poi_ids[v])))
+                for v in graph.interior()}
+    return {v: graph.cost[pivot][v] for v in graph.interior()}
+
+
+class FreshPivotDistances:
+    """Stands in for `tripkit.alns._PivotDistances`, recomputing the distances
+    on every lookup."""
+
+    def __init__(self, graph: PoiGraph, model: EmbeddingModel | None):
+        self.graph, self.model = graph, model
+
+    def __getitem__(self, pivot: int) -> dict[int, float]:
+        return similarity_distances(self.graph, self.model, pivot)
+
+
+# --- trip score straight from the model ---------------------------------------
+
+
+def ctq_score(ctx: ScoreContext, trip: Sequence[str]) -> float:
+    """Sum of interior closeness plus interior pairwise similarity;
+    endpoints contribute nothing."""
+    if len(trip) < 2 or trip[0] != ctx.query.start or trip[-1] != ctx.query.end:
+        raise ValueError("trip must start at the query start and end at the query end")
+    interior = list(trip[1:-1])
+    if len(set(interior)) != len(interior):
+        raise ValueError("interior POIs must be distinct")
+    if ctx.query.start in interior or ctx.query.end in interior:
+        raise ValueError("interior POIs must differ from the endpoints")
+    score = sum(ctx.closeness(p) for p in interior)
+    for i in range(len(interior)):
+        for j in range(i + 1, len(interior)):
+            score += ctx.ncsim(interior[i], interior[j])
+    return score
+
+
+# --- the integer program's assignments -----------------------------------------
+
+FLOAT_TOL = 1e-9  # the assignment checker's tolerance for every constraint row
+
+
+def satisfied(constraint: Constraint, assignment: dict[str, float],
+              tol: float = FLOAT_TOL) -> bool:
+    lhs = sum(c * assignment[v] for v, c in constraint.coeffs.items())
+    if constraint.sense == "<=":
+        return lhs <= constraint.rhs + tol
+    if constraint.sense == ">=":
+        return lhs >= constraint.rhs - tol
+    return abs(lhs - constraint.rhs) <= tol
+
+
+def objective_value(model: IlpModel, assignment: dict[str, float]) -> float:
+    return sum(c * assignment[v] for v, c in model.objective.items())
+
+
+def check_assignment(model: IlpModel, assignment: dict[str, float],
+                     tol: float = FLOAT_TOL) -> dict:
+    """Evaluate every constraint and the objective for a complete assignment."""
+    missing = [v for v in model.variables if v not in assignment]
+    if missing:
+        raise ValueError(f"assignment missing variables: {missing[:5]}")
+    violated = []
+    for v in model.binaries:
+        if assignment[v] not in (0, 1, 0.0, 1.0):
+            violated.append(f"binary_{v}")
+    for v, (lo, hi) in model.bounds.items():
+        if not lo - tol <= assignment[v] <= hi + tol:
+            violated.append(f"bound_{v}")
+    violated += [c.cid for c in model.constraints if not satisfied(c, assignment, tol)]
+    return {
+        "feasible": not violated,
+        "violated": violated,
+        "objective": objective_value(model, assignment),
+    }
+
+
+def encode_trip(model: IlpModel, trip: Sequence[int]) -> dict[str, float]:
+    """Assignment encoding a vertex-index trip (0-based indices, as in PoiGraph)."""
+    n = model.n
+    one_based = [v + 1 for v in trip]
+    assignment = {v: 0.0 for v in model.variables}
+    for a, b in zip(one_based, one_based[1:]):
+        assignment[xvar(a, b)] = 1.0
+    selected = set(one_based) | {1, n}
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            if i in selected and j in selected:
+                assignment[xpvar(i, j)] = 1.0
+    for pos, v in enumerate(one_based, start=1):
+        if v >= 2:
+            assignment[pvar(v)] = float(pos)
+    for i in range(2, n + 1):
+        if i not in selected:
+            assignment[pvar(i)] = 2.0
+    return assignment
+
+
+# --- the embedding's likelihoods -------------------------------------------------
+
+
+def prob_full(model: EmbeddingModel, poi_id: str, context: Iterable[str] | None = None,
+              user_id: str | None = None) -> float:
+    """Softmax probability of poi_id; absent context parts are zeroed out."""
+    base = np.zeros(model.dim)
+    if user_id is not None:
+        base = base + model.user(user_id)
+    if context is not None:
+        base = base + model.context_vector(context)
+    scores = {p: float(model.poi_vec[p] @ base) + model.poi_pop[p] for p in model.poi_vec}
+    if poi_id not in scores:
+        raise UnknownPoiError(f"unknown POI: {poi_id}")
+    mx = max(scores.values())
+    z = sum(math.exp(s - mx) for s in scores.values())
+    return math.exp(scores[poi_id] - mx) / z
+
+
+def bpr_objective(trips: Sequence[Trip], model: EmbeddingModel,
+                  config: TrainConfig, rng_seed: int = 42) -> float:
+    """Monte-Carlo estimate of the regularized BPR log-likelihood (monitoring only)."""
+    rng = np.random.default_rng(rng_seed)
+    all_pois = model.poi_ids
+    total = 0.0
+    for t in trips:
+        for obs in observations_from_trip(t):
+            for neg in sample_negatives(obs.trip_pois, all_pois, config.negatives, rng):
+                z = bpr_margin(model, obs.target, neg, sorted(obs.context), obs.user_id)
+                total += math.log(sigmoid(z))
+    norm = sum(float(v @ v) for v in model.poi_vec.values())
+    norm += sum(float(v @ v) for v in model.user_vec.values())
+    norm += sum(p * p for p in model.poi_pop.values())
+    return total - config.regularization * norm

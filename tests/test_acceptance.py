@@ -15,12 +15,12 @@ from tripkit.alns import AlnsConfig, SolutionPool, destroy, init_pool, local_sea
 from tripkit.checkins import Poi, TimeCostModel
 from tripkit.embedding import EmbeddingModel, Observation, TrainConfig, sgd_step, train
 from tripkit.evaluation import evaluate
-from tripkit.exact import build_ilp, check_assignment, encode_trip, enumerate_all, \
-    solve_exact, xpvar, xvar
+from tripkit.exact import build_ilp, enumerate_all, solve_exact, xpvar, xvar
 from tripkit.graph import PoiGraph, build_graph
 from tripkit.scoring import Query, ScoreContext, compute_zpair
 from conftest import make_trip, random_graph, two_clique_corpus
 from test_embedding import clique_similarity, finite_diff_gradients
+from oracles import check_assignment, encode_trip, prob_full, satisfied
 
 
 def report(name: str, detail: str):
@@ -146,7 +146,7 @@ class TestAcceptance:
                 for forced in (0.0, 1.0):
                     want = float(i in selected and j in selected)
                     a[xpvar(i, j)] = forced
-                    ok = all(c.satisfied(a) for c in cons)
+                    ok = all(satisfied(c, a) for c in cons)
                     assert ok == (forced == want), \
                         f"xp_{i}_{j}={forced} mischecked on trip {trip}"
                 a[xpvar(i, j)] = want
@@ -183,7 +183,7 @@ class TestAcceptance:
                         for values in itertools.product(p_domain, repeat=len(subset)):
                             for v, val in zip(subset, values):
                                 a[f"p_{v}"] = float(val)
-                            assert not all(c.satisfied(a) for c in pos_cons), \
+                            assert not all(satisfied(c, a) for c in pos_cons), \
                                 f"cycle {cycle} accepted with positions {values}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
@@ -238,17 +238,17 @@ class TestAcceptance:
         model = EmbeddingModel(6, {p: rng.normal(scale=0.5, size=6) for p in ids},
                                {p: float(rng.normal(scale=0.4)) for p in ids},
                                {"u": rng.normal(scale=0.5, size=6)})
-        total = sum(model.prob_full(p, ["p1", "p2"], "u") for p in ids)
+        total = sum(prob_full(model, p, ["p1", "p2"], "u") for p in ids)
         assert abs(total - 1.0) <= 1e-9
         ctx = ScoreContext(model, Query("u", "p0", "p11", 3600.0))
         close = sum(ctx.closeness(p) for p in ids)
         assert abs(close - 1.0) <= 1e-9
         pairs = sum(ctx.ncsim(a, b) for a in ids for b in ids if a != b)
         assert abs(pairs - 1.0) <= 1e-9
-        before = {p: model.prob_full(p, ["p1"], "u") for p in ids}
+        before = {p: prob_full(model, p, ["p1"], "u") for p in ids}
         for p in ids:
             model.poi_pop[p] += 11.5
-        drift = max(abs(model.prob_full(p, ["p1"], "u") - before[p]) for p in ids)
+        drift = max(abs(prob_full(model, p, ["p1"], "u") - before[p]) for p in ids)
         assert drift <= 1e-9
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0

@@ -258,6 +258,17 @@ class TestEvaluate:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_empty_solver_list_exit_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "solvers.cfg"
+        cfg.write_text("solvers=\n")
+        out = workspace["root"] / "eval_empty.csv"
+        for extra in (["--solvers", ","], ["--config", str(cfg)]):
+            assert main(["evaluate", str(workspace["corpus"]), "--dim", "3", "--epochs", "2",
+                         "--out", str(out), *extra]) == 2
+            captured = capsys.readouterr()
+            assert "no solvers" in captured.err and captured.out == ""
+            assert not out.exists()
+
 
 class TestExportLp:
     def test_round_trip(self, workspace, capsys):
@@ -292,6 +303,16 @@ class TestConfigFile:
                      "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "unknown key: epoch" in err and str(cfg) in err
+        assert not out.exists()
+
+    def test_positional_key_exit_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text("corpus=other.json\n")
+        out = tmp_path / "m.txt"
+        assert main(["train", str(workspace["corpus"]), "--out", str(out),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "corpus" in err and "command line" in err
         assert not out.exists()
 
     def test_invalid_choice_exit_2(self, workspace, tmp_path):

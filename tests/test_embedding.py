@@ -6,9 +6,10 @@ import pytest
 
 from tripkit.checkins import UnknownPoiError
 from tripkit.embedding import (EmbeddingModel, Observation, TrainConfig, bpr_margin,
-                               bpr_objective, init_model, observations_from_trip,
+                               init_model, observations_from_trip,
                                sample_negatives, sgd_step, sigmoid, train)
 from conftest import make_trip, two_clique_corpus
+from oracles import bpr_objective, prob_full
 
 
 def small_model(dim=2, pois=("p1", "p2", "p3"), users=("u1",), seed=0):
@@ -69,11 +70,11 @@ class TestCsim:
 class TestProbFull:
     def test_uniform_when_zero(self):
         m = zero_model()
-        assert m.prob_full("p1", [], "u1") == pytest.approx(0.25)
+        assert prob_full(m, "p1", [], "u1") == pytest.approx(0.25)
 
     def test_two_equal_scores(self):
         m = zero_model(pois=("p1", "p2"))
-        assert m.prob_full("p1", [], "u1") == pytest.approx(0.5)
+        assert prob_full(m, "p1", [], "u1") == pytest.approx(0.5)
 
     def test_matches_direct_softmax(self):
         m = small_model(dim=3, pois=tuple(f"p{i}" for i in range(5)), seed=8)
@@ -82,24 +83,24 @@ class TestProbFull:
         scores = np.array([m.poi_vec[p] @ base + m.poi_pop[p] for p in sorted(m.poi_vec)])
         expected = np.exp(scores) / np.exp(scores).sum()
         for p, e in zip(sorted(m.poi_vec), expected):
-            assert m.prob_full(p, context, user) == pytest.approx(e, rel=1e-12)
-        total = sum(m.prob_full(p, context, user) for p in m.poi_vec)
+            assert prob_full(m, p, context, user) == pytest.approx(e, rel=1e-12)
+        total = sum(prob_full(m, p, context, user) for p in m.poi_vec)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_bias_shift_invariance(self):
         m = small_model(dim=3, seed=5)
-        before = {p: m.prob_full(p, ["p2"], "u1") for p in m.poi_vec}
+        before = {p: prob_full(m, p, ["p2"], "u1") for p in m.poi_vec}
         for p in m.poi_pop:
             m.poi_pop[p] += 7.3
         for p in m.poi_vec:
-            assert m.prob_full(p, ["p2"], "u1") == pytest.approx(before[p], abs=1e-9)
+            assert prob_full(m, p, ["p2"], "u1") == pytest.approx(before[p], abs=1e-9)
 
     def test_restricted_variants(self):
         m = small_model(dim=3, seed=2)
         # popularity-only distribution
         scores = {p: m.poi_pop[p] for p in m.poi_vec}
         z = sum(math.exp(s) for s in scores.values())
-        assert m.prob_full("p1", None, None) == pytest.approx(math.exp(scores["p1"]) / z)
+        assert prob_full(m, "p1", None, None) == pytest.approx(math.exp(scores["p1"]) / z)
 
 
 class TestBprMargin:

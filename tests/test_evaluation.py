@@ -292,6 +292,14 @@ class TestEvaluate:
             evaluate(small_corpus, ["random", "nosuch"], shared_model=True)
         assert not trained
 
+    def test_empty_solver_list_rejected_before_training(self, small_corpus, monkeypatch):
+        trained = []
+        monkeypatch.setattr(tripkit.evaluation, "train",
+                            lambda *a, **k: trained.append(1))
+        with pytest.raises(ValueError, match="no solvers"):
+            evaluate(small_corpus, [])
+        assert not trained
+
     def test_train_config_mode_reaches_train(self, small_corpus, monkeypatch):
         modes = []
         real = tripkit.evaluation.train

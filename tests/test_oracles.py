@@ -1,0 +1,162 @@
+"""The ALNS build and 2-opt layers against their rescanning references in
+`oracles.py`: the same lists, the same floats and the same RNG draws."""
+
+import numpy as np
+import pytest
+
+import tripkit.alns as alns
+from tripkit.graph import PoiGraph
+from conftest import random_graph
+from test_acceptance import embedding_instance
+import oracles
+
+SIZES = range(3, 21)
+
+
+def random_trip(graph: PoiGraph, rng: np.random.Generator) -> list[int]:
+    interior = list(graph.interior())
+    k = int(rng.integers(0, len(interior) + 1))
+    return [graph.start, *rng.permutation(interior)[:k].tolist(), graph.end]
+
+
+def at_trip_budget(graph: PoiGraph, rng: np.random.Generator) -> PoiGraph:
+    """The same graph with its budget set exactly to the cost of a random
+    trip, as `make_folds` sets it to the test trip's cost."""
+    return PoiGraph(graph.poi_ids, graph.vprofit, graph.eprofit, graph.cost,
+                    graph.trip_cost(random_trip(graph, rng)), graph.start_visit_cost)
+
+
+def tied_graph(seed: int, n: int) -> PoiGraph:
+    """A graph whose costs and profits take a few round values, so that many
+    insertion deltas, 2-opt moves and chooser keys tie: places on a small
+    integer grid, Manhattan transit (a metric, like walking time) and visits
+    of 100 or 200."""
+    rng = np.random.default_rng(seed)
+    vprofit = rng.integers(1, 3, n) / 4
+    vprofit[0] = vprofit[-1] = 0.0
+    eprofit = rng.integers(0, 2, (n, n)) / 8
+    xy = rng.integers(0, 4, (n, 2))
+    visit = rng.integers(1, 3, n) * 100.0
+    transit = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2) * 100.0
+    return PoiGraph([f"p{i}" for i in range(n)], vprofit, (eprofit + eprofit.T) / 2,
+                    visit[None, :] + transit, 300.0 * (n // 3 + 1), visit[0])
+
+
+def instances():
+    """(graph, model) pairs: random and tied graphs of 3..20 vertices at their
+    own budget and at a trip's exact cost, and embedding graphs with their model."""
+    rng = np.random.default_rng(606)
+    for n in SIZES:
+        for seed in (n, 100 + n):
+            g = random_graph(seed, n, interior_target=max(1, n // 3))
+            yield f"random{seed}-n{n}", g, None
+            yield f"random{seed}-n{n}-tripbudget", at_trip_budget(g, rng), None
+        g = tied_graph(200 + n, n)
+        yield f"tied{200 + n}-n{n}", g, None
+        yield f"tied{200 + n}-n{n}-tripbudget", at_trip_budget(g, rng), None
+    for seed, n in ((1000, 8), (1001, 12), (1002, 16)):
+        g, model = embedding_instance(seed, n)
+        yield f"embedding{seed}-n{n}", g, model
+        yield f"embedding{seed}-n{n}-tripbudget", at_trip_budget(g, rng), model
+
+
+INSTANCES = list(instances())
+IDS = [name for name, _, _ in INSTANCES]
+
+
+@pytest.fixture
+def references(monkeypatch):
+    """Put the rescanning references in place of the operators run_alns uses."""
+    def install():
+        monkeypatch.setattr(alns, "greedy_extend", oracles.greedy_extend)
+        monkeypatch.setattr(alns, "_choose_highest_potential", oracles.choose_highest_potential)
+        monkeypatch.setattr(alns, "local_search", oracles.local_search)
+        monkeypatch.setattr(alns, "_PivotDistances", oracles.FreshPivotDistances)
+    return install
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_cheapest_insertion(name, graph, model):
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        trip = random_trip(graph, rng)
+        for v in graph.interior():
+            if v not in trip:
+                assert alns.cheapest_insertion(graph, alns.trip_legs(graph, trip), v) == \
+                    oracles.cheapest_insertion(graph, trip, v)
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_greedy_extend_sees_the_same_options(name, graph, model):
+    # a chooser that draws at random among the options (or stops) and records
+    # what it was shown
+    def recording(seed, log):
+        rng = np.random.default_rng(seed)
+
+        def choose(trip, options):
+            log.append((list(trip), list(options)))
+            k = int(rng.integers(len(options) + 1))
+            return options[k] if k < len(options) else None
+        return choose
+
+    rng = np.random.default_rng(2)
+    for seed in range(10):
+        start = random_trip(graph, rng)
+        start = start if graph.feasible(start).ok else [graph.start, graph.end]
+        seen, expected = [], []
+        out = alns.greedy_extend(graph, start, recording(seed, seen))
+        assert out == oracles.greedy_extend(graph, start, recording(seed, expected))
+        assert seen == expected
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_build_operators(name, graph, model, references):
+    rng = np.random.default_rng(3)
+    partials = [[graph.start, graph.end]]
+    for _ in range(6):
+        trip = random_trip(graph, rng)
+        if graph.feasible(trip).ok:
+            partials.append(trip)
+    runs = [(p, op, seed) for p in partials for op in alns.BUILD_OPS for seed in range(2)]
+
+    def outputs():
+        results = []
+        for partial, op, seed in runs:
+            op_rng = np.random.default_rng(seed)
+            results.append((alns.build(graph, partial, op, op_rng, model), op_rng.random()))
+        return results
+
+    new = outputs()
+    references()
+    assert new == outputs()
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_local_search(name, graph, model):
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        trip = random_trip(graph, rng)
+        assert alns.local_search(graph, trip) == oracles.local_search(graph, trip)
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_pivot_distances(name, graph, model):
+    distances = alns._PivotDistances(graph, model)
+    for pivot in range(graph.n):
+        first = distances[pivot]
+        assert first == oracles.similarity_distances(graph, model, pivot)
+        assert distances[pivot] is first
+
+
+ALNS_INSTANCES = [i for i in INSTANCES
+                  if i[1].feasible([i[1].start, i[1].end]).ok and i[1].n in (3, 5, 8, 12, 16, 20)]
+
+
+@pytest.mark.parametrize("name,graph,model", ALNS_INSTANCES, ids=[i[0] for i in ALNS_INSTANCES])
+def test_run_alns_same_trace(name, graph, model, references):
+    config = alns.AlnsConfig(runs=2, iterations=60)
+    new = alns.run_alns(graph, config, model, collect_trace=True)
+    references()
+    ref = alns.run_alns(graph, config, model, collect_trace=True)
+    assert (new.trip, new.score) == (ref.trip, ref.score)
+    assert new.trace == ref.trace
