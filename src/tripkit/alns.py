@@ -120,11 +120,6 @@ def cheapest_insertion(graph: PoiGraph, legs: Sequence[Leg], v: int) -> tuple[in
     return best_pos, best_delta
 
 
-def profit_increment(graph: PoiGraph, trip: Sequence[int], v: int) -> float:
-    row = graph.eprofit[v]
-    return graph.vprofit[v] + sum(row[u] for u in trip[1:-1])
-
-
 def removal_cost_delta(graph: PoiGraph, trip: Sequence[int], pos: int) -> float:
     a, v, b = trip[pos - 1], trip[pos], trip[pos + 1]
     cost = graph.cost
@@ -132,10 +127,7 @@ def removal_cost_delta(graph: PoiGraph, trip: Sequence[int], pos: int) -> float:
 
 
 def removal_profit_delta(graph: PoiGraph, trip: Sequence[int], pos: int) -> float:
-    v = trip[pos]
-    row = graph.eprofit[v]
-    return graph.vprofit[v] + sum(row[u] for i, u in enumerate(trip[1:-1], start=1)
-                                  if i != pos)
+    return graph.gain(trip[pos], trip[1:pos] + trip[pos + 1:-1])
 
 
 def randomized_index(count: int, randomness: float, fraction: float,
@@ -205,7 +197,7 @@ def greedy_extend(graph: PoiGraph, trip: Sequence[int],
 
 def _choose_most_profit(graph: PoiGraph):
     return lambda trip, opts: max(
-        opts, key=lambda o: (profit_increment(graph, trip, o[0]), -o[0]), default=None)
+        opts, key=lambda o: (graph.gain(o[0], trip[1:-1]), -o[0]), default=None)
 
 
 def _choose_least_cost(graph: PoiGraph):
@@ -215,7 +207,7 @@ def _choose_least_cost(graph: PoiGraph):
 
 def _choose_best_ratio(graph: PoiGraph):
     def ratio(trip, o):
-        gain = profit_increment(graph, trip, o[0])
+        gain = graph.gain(o[0], trip[1:-1])
         return gain / o[2] if o[2] > 0 else math.inf
     return lambda trip, opts: max(opts, key=lambda o: (ratio(trip, o), -o[0]), default=None)
 
@@ -231,7 +223,7 @@ def _choose_highest_potential(graph: PoiGraph):
         cost = graph.trip_cost(cur)
         best = None
         for v, pos, delta in opts:
-            gain_v = profit_increment(graph, cur, v)
+            gain_v = graph.gain(v, cur[1:-1])
             candidate = list(cur)
             candidate.insert(pos, v)
             a, b = cur[pos - 1], cur[pos]
@@ -248,14 +240,14 @@ def _choose_highest_potential(graph: PoiGraph):
                     _, delta_w = cheapest_insertion(graph, trip_legs(graph, candidate), w)
                 if not within_budget(cost + delta + delta_w, graph.budget):
                     continue
-                pair_gain = gain_v + profit_increment(graph, candidate, w)
+                pair_gain = gain_v + graph.gain(w, candidate[1:-1])
                 key = (pair_gain, -v)
                 if best is None or key > best[0]:
                     best = (key, (v, pos, delta))
         if best is not None:
             return best[1]
         # no feasible pair: fall back to the single best profit insertion
-        return max(opts, key=lambda o: (profit_increment(graph, cur, o[0]), -o[0]))
+        return max(opts, key=lambda o: (graph.gain(o[0], cur[1:-1]), -o[0]))
     return choose
 
 
@@ -446,6 +438,10 @@ def run_alns(graph: PoiGraph, config: AlnsConfig | None = None,
             d_op = roulette_select(d_weights, rng)
             b_op = roulette_select(b_weights, rng)
             partial = destroy(graph, current, d_op, config, rng)
+            if not within_budget(graph.trip_cost(partial), graph.budget):
+                # costs that break the triangle inequality can make a removal
+                # dearer; build from the current trip, which fits
+                partial = current
             candidate = build(graph, partial, b_op, rng, similarity)
             candidate = local_search(graph, candidate)
             verdict = graph.feasible(candidate)

@@ -23,6 +23,8 @@ class CheckinError(ValueError):
 class UnknownPoiError(KeyError):
     """A POI id is missing from the model or corpus."""
 
+    __str__ = Exception.__str__  # the message alone; KeyError would quote it
+
 
 @dataclass(frozen=True)
 class CheckinRecord:
@@ -217,7 +219,7 @@ class TimeCostModel:
         try:
             return self.visit_times[poi_id]
         except KeyError:
-            raise UnknownPoiError(f"no-visit POI: {poi_id}") from None
+            raise UnknownPoiError(f"no visit-time data for POI: {poi_id}") from None
 
     def distance_km(self, a: str, b: str) -> float:
         if a == b:

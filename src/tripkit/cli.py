@@ -177,15 +177,8 @@ def _time_cost_model(args, trips, pois) -> TimeCostModel:
 
 def _query_graph(args, model, trips, pois):
     tcm = _time_cost_model(args, trips, pois)
-    for poi_id in (args.start, args.end):
-        if poi_id not in model.poi_vec:
-            raise CliError(f"unknown POI: {poi_id}")
-        if poi_id not in tcm.visit_times:
-            raise CliError(f"no visit-time data for POI: {poi_id}")
-    if args.user not in model.user_vec:
-        raise CliError(f"unknown user: {args.user}")
     query = Query(args.user, args.start, args.end, args.budget)
-    ctx = ScoreContext(model, query, zpair=model.zpair)
+    ctx = ScoreContext(model, query)
     candidates = reachable_candidates(query, tcm, model.poi_ids)
     graph = build_graph(ctx, query, tcm, candidates)
     return query, ctx, graph

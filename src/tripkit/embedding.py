@@ -164,16 +164,6 @@ def observations_from_trip(trip: Trip) -> list[Observation]:
             for v in trip.visits]
 
 
-def bpr_margin(model: EmbeddingModel, target: str, negative: str,
-               context: Iterable[str], user_id: str) -> float:
-    """Score gap z between the observed POI and a sampled negative."""
-    c = model.context_vector(context)
-    u = model.user(user_id)
-    lt, ln = model.vec(target), model.vec(negative)
-    return float(lt @ c + lt @ u + model.pop(target)
-                 - ln @ c - ln @ u - model.pop(negative))
-
-
 def sgd_step(model: EmbeddingModel, obs: Observation, negative: str,
              config: TrainConfig):
     """One BPR gradient-ascent step; all updates read pre-step parameter values."""

@@ -192,15 +192,8 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
             model = cached_model or train(list(fold.training), train_config)
             counts = visit_count_by_poi(list(training))
             visit_times = compute_visit_times(list(training))
-            for p in fold.test_trip.poi_ids:
-                visit_times.setdefault(p, 0.0)
             tcm = TimeCostModel(visit_times, pois=pois or {})
-            if fold.query.user_id not in model.user_vec or \
-                    fold.query.start not in model.poi_vec or \
-                    fold.query.end not in model.poi_vec:
-                raise ValueError("query user or endpoints unseen in training data")
-            ctx = ScoreContext(model, fold.query, zpair=model.zpair)
-            model.zpair = ctx.z_pair  # a shared model computes z_pair on its first fold only
+            ctx = ScoreContext(model, fold.query)  # a shared model keeps its first fold's z_pair
             candidates = reachable_candidates(fold.query, tcm, model.poi_ids)
             graph = build_graph(ctx, fold.query, tcm, candidates)
             for name in solvers:

@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .graph import PoiGraph, within_budget
+from .graph import PoiGraph, better, within_budget
 
 BRUTE_FORCE_GUARD = 12
 
@@ -153,7 +153,7 @@ def enumerate_all(graph: PoiGraph) -> SolveResult | None:
     if graph.n > BRUTE_FORCE_GUARD:
         raise ValueError(f"brute force guarded at |V| <= {BRUTE_FORCE_GUARD}")
     interior = list(graph.interior())
-    best: tuple[float, list[int]] | None = None
+    best_obj, best_trip = -math.inf, None
     count = 0
     for size in range(len(interior) + 1):
         for subset in itertools.combinations(interior, size):
@@ -163,12 +163,11 @@ def enumerate_all(graph: PoiGraph) -> SolveResult | None:
                 if not graph.feasible(trip).ok:
                     continue
                 obj = graph.trip_objective(trip)
-                if best is None or obj > best[0] + 1e-15 or (
-                        abs(obj - best[0]) <= 1e-15 and trip < best[1]):
-                    best = (obj, trip)
-    if best is None:
+                if better(obj, trip, best_obj, best_trip):
+                    best_obj, best_trip = obj, trip
+    if best_trip is None:
         return None
-    return SolveResult(best[1], best[0], count)
+    return SolveResult(best_trip, best_obj, count)
 
 
 def solve_exact(graph: PoiGraph) -> SolveResult | None:
@@ -230,20 +229,20 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
         # close the path at the end vertex if possible
         if within_budget(path_cost + row[end], budget):
             trip = [start, *path_interior, end]
-            if obj > best_obj + 1e-15 or (abs(obj - best_obj) <= 1e-15 and
-                                          (best_trip is None or trip < best_trip)):
+            if better(obj, trip, best_obj, best_trip):
                 best_obj, best_trip = obj, trip
         remaining = [r for r in interior if r not in used]
-        if upper_bound(obj, path_interior, remaining, budget - path_cost) <= best_obj + 1e-15:
-            if best_trip is not None:
-                return
+        # prune unless the bound beats the best; a tie counts as not better
+        if best_trip is not None and not better(
+                upper_bound(obj, path_interior, remaining, budget - path_cost),
+                best_trip, best_obj, best_trip):
+            return
         for r in remaining:
             new_cost = path_cost + row[r]
             others = [x for x in remaining if x != r]
             if not within_budget(new_cost + completion_lb(r, others), budget):
                 continue
-            gain = vprofit[r] + sum(eprofit[r][p] for p in path_interior)
-            dfs(r, path_interior + [r], used | {r}, new_cost, obj + gain)
+            dfs(r, path_interior + [r], used | {r}, new_cost, obj + graph.gain(r, path_interior))
 
     dfs(start, [], set(), graph.start_visit_cost, 0.0)
     if best_trip is None:

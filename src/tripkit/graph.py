@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,6 +15,19 @@ def within_budget(cost: float, budget: float) -> bool:
     differently (by ~1e-13 s); the relative slack of 1e-10 absorbs that, so a
     trip whose cost equals its budget fits however its cost was added up."""
     return cost <= budget + 1e-10 * abs(budget)
+
+
+def better(obj: float, trip: list[int], best_obj: float,
+           best_trip: list[int] | None) -> bool:
+    """The one tie rule between two trips. Two orders of one stop set sum
+    their objective differently (by a few ulps), so objectives within a
+    relative 1e-12 tie, and a tie goes to the lexicographically smaller trip;
+    otherwise the higher objective wins. Anything beats no trip."""
+    if best_trip is None:
+        return True
+    if math.isclose(obj, best_obj, rel_tol=1e-12):
+        return trip < best_trip
+    return obj > best_obj
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,12 @@ class PoiGraph:
         for a, b in zip(trip, trip[1:]):
             cost += self.cost[a][b]
         return cost
+
+    def gain(self, v: int, interior: Sequence[int]) -> float:
+        """What adding v to a trip with these interior stops adds to its
+        objective: v's profit plus its pair profit with each stop, in order."""
+        row = self.eprofit[v]
+        return self.vprofit[v] + sum(row[u] for u in interior)
 
     def trip_objective(self, trip: Sequence[int]) -> float:
         """Interior vertex profits plus unordered interior-pair edge profits."""

@@ -30,20 +30,24 @@ def query_vector(model: EmbeddingModel, query: Query) -> np.ndarray:
 
 
 class ScoreContext:
-    """Caches the two softmax normalizers: one per query, one per model."""
+    """Caches the two softmax normalizers: one per query, and one per model,
+    which lives on the model: `compute_zpair` runs only while `model.zpair` is
+    None, and its result is stored there. Building a context is also where a
+    query's user and end points are looked up (`UnknownPoiError` if unseen)."""
 
-    def __init__(self, model: EmbeddingModel, query: Query, zpair: float | None = None):
+    def __init__(self, model: EmbeddingModel, query: Query):
         self.model = model
         self.query = query
         self.qvec = query_vector(model, query)
         self.z_query = 0.0
         for p in model.poi_vec:
             self.z_query += math.exp(float(model.poi_vec[p] @ self.qvec))
-        self.z_pair = zpair if zpair is not None else compute_zpair(model)
+        self.z_pair = model.zpair if model.zpair is not None else compute_zpair(model)
         if not (self.z_query > 0 and math.isfinite(self.z_query)):
             raise FloatingPointError("query normalizer must be positive and finite")
         if not (self.z_pair > 0 and math.isfinite(self.z_pair)):
             raise FloatingPointError("pair normalizer must be positive and finite")
+        model.zpair = self.z_pair
 
     def closeness(self, poi_id: str) -> float:
         return math.exp(float(self.model.vec(poi_id) @ self.qvec)) / self.z_query

@@ -15,10 +15,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from tripkit.checkins import Trip, UnknownPoiError
-from tripkit.embedding import (EmbeddingModel, TrainConfig, bpr_margin,
+from tripkit.embedding import (EmbeddingModel, TrainConfig,
                                observations_from_trip, sample_negatives, sigmoid)
 from tripkit.exact import Constraint, IlpModel, pvar, xpvar, xvar
-from tripkit.alns import profit_increment
 from tripkit.graph import PoiGraph, within_budget
 from tripkit.scoring import ScoreContext
 
@@ -73,7 +72,7 @@ def choose_highest_potential(graph: PoiGraph):
         cost = graph.trip_cost(cur)
         best = None
         for v, pos, delta in opts:
-            gain_v = profit_increment(graph, cur, v)
+            gain_v = graph.gain(v, cur[1:-1])
             candidate = list(cur)
             candidate.insert(pos, v)
             for w, _, _ in opts:
@@ -82,14 +81,14 @@ def choose_highest_potential(graph: PoiGraph):
                 _, delta_w = cheapest_insertion(graph, candidate, w)
                 if not within_budget(cost + delta + delta_w, graph.budget):
                     continue
-                pair_gain = gain_v + profit_increment(graph, candidate, w)
+                pair_gain = gain_v + graph.gain(w, candidate[1:-1])
                 key = (pair_gain, -v)
                 if best is None or key > best[0]:
                     best = (key, (v, pos, delta))
         if best is not None:
             return best[1]
         # no feasible pair: fall back to the single best profit insertion
-        return max(opts, key=lambda o: (profit_increment(graph, cur, o[0]), -o[0]))
+        return max(opts, key=lambda o: (graph.gain(o[0], cur[1:-1]), -o[0]))
     return choose
 
 
@@ -237,6 +236,16 @@ def prob_full(model: EmbeddingModel, poi_id: str, context: Iterable[str] | None 
     mx = max(scores.values())
     z = sum(math.exp(s - mx) for s in scores.values())
     return math.exp(scores[poi_id] - mx) / z
+
+
+def bpr_margin(model: EmbeddingModel, target: str, negative: str,
+               context: Iterable[str], user_id: str) -> float:
+    """Score gap z between the observed POI and a sampled negative."""
+    c = model.context_vector(context)
+    u = model.user(user_id)
+    lt, ln = model.vec(target), model.vec(negative)
+    return float(lt @ c + lt @ u + model.pop(target)
+                 - ln @ c - ln @ u - model.pop(negative))
 
 
 def bpr_objective(trips: Sequence[Trip], model: EmbeddingModel,

@@ -7,7 +7,7 @@ import pytest
 from tripkit.alns import (BUILD_OPS, DESTROY_OPS, AlnsConfig, SolutionPool,
                           build, cheapest_insertion, classify_scenario,
                           destroy, greedy_extend, init_pool,
-                          local_search, profit_increment, randomized_index,
+                          local_search, randomized_index,
                           removal_cost_delta, removal_count,
                           removal_profit_delta, roulette_select, run_alns,
                           sa_accept, trip_legs, update_weight, write_trace_csv)
@@ -139,10 +139,10 @@ class TestRemovalHelpers:
         assert drop == pytest.approx(
             g.trip_objective(trip) - g.trip_objective([0, 1, 4, 5]))
 
-    def test_profit_increment(self):
+    def test_gain(self):
         g = random_graph(4, n=6)
         trip = [0, 1, 5]
-        inc = profit_increment(g, trip, 3)
+        inc = g.gain(3, trip[1:-1])
         assert inc == pytest.approx(
             g.trip_objective([0, 1, 3, 5]) - g.trip_objective(trip))
 
@@ -238,7 +238,7 @@ class TestBuild:
     def test_most_profit_first_pick(self):
         g = random_graph(14, n=7)
         out = build(g, [0, 6], "most_profit", np.random.default_rng(2))
-        gains = {v: profit_increment(g, [0, 6], v) for v in g.interior()}
+        gains = {v: g.gain(v, []) for v in g.interior()}
         assert out[1] == max(gains, key=lambda v: (gains[v], -v)) or len(out) == 2
 
     def test_least_cost_first_pick(self):
@@ -393,3 +393,22 @@ class TestRunAlns:
         short = run_alns(g, AlnsConfig(runs=1, iterations=20))
         long = run_alns(g, AlnsConfig(runs=1, iterations=300))
         assert long.score >= short.score - 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_costs_breaking_triangle_inequality(self, seed):
+        # with costs of 100, 200 or 300 s a removal can make a trip dearer, so
+        # a destroyed trip may already be over the budget
+        rng = np.random.default_rng(seed)
+        n = 20
+        vp = rng.uniform(0.05, 1.0, n)
+        vp[0] = vp[-1] = 0.0
+        ep = rng.uniform(0.01, 0.4, (n, n))
+        ep = (ep + ep.T) / 2
+        np.fill_diagonal(ep, 0.0)
+        cost = rng.choice([100.0, 200.0, 300.0], size=(n, n))
+        np.fill_diagonal(cost, 0.0)
+        g = PoiGraph([f"p{i}" for i in range(n)], vp, ep, cost, budget=1200.0,
+                     start_visit_cost=100.0)
+        out = run_alns(g, AlnsConfig(runs=2, iterations=200))
+        assert g.feasible(out.trip).ok
+        assert out.score == g.trip_objective(out.trip)

@@ -144,6 +144,19 @@ class TestTrain:
         assert main(["train", str(garbled), "--out", str(tmp_path / "m.txt")]) == 2
 
 
+def write_distances(root: Path, pois: list[str], seed=0) -> Path:
+    """A symmetric CSV distance matrix of whole 1, 2 or 3 km over `pois`: such
+    distances break the triangle inequality."""
+    rng = np.random.default_rng(seed)
+    km = np.triu(rng.integers(1, 4, (len(pois), len(pois))), 1)
+    km = km + km.T
+    lines = ["," + ",".join(pois)]
+    lines += [p + "," + ",".join(str(d) for d in row) for p, row in zip(pois, km)]
+    path = root / "distances.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestRecommend:
     def test_happy_path(self, workspace, capsys):
         assert main(["recommend", *query_flags(workspace), "--runs", "1",
@@ -212,10 +225,36 @@ class TestRecommend:
         assert main(["recommend", *query_flags(workspace), "--walking-speed", "0"]) == 2
         assert "walking speed must be positive" in capsys.readouterr().err
 
-    def test_unknown_user_exit_2(self, workspace):
+    def test_unknown_user_exit_2(self, workspace, capsys):
         flags = query_flags(workspace)
         flags[flags.index("--user") + 1] = "stranger"
         assert main(["recommend", *flags]) == 2
+        assert "error: unknown user: stranger" in capsys.readouterr().err
+
+    def test_unknown_start_exit_2(self, workspace, capsys):
+        flags = query_flags(workspace)
+        flags[flags.index("--start") + 1] = "nosuch"
+        assert main(["recommend", *flags]) == 2
+        assert "error: unknown POI: nosuch" in capsys.readouterr().err
+
+    def test_distances_missing_poi_unquoted(self, workspace, tmp_path, capsys):
+        # p7 has no row: the library's error prints as its bare message
+        path = write_distances(tmp_path, [f"p{i}" for i in range(7)])
+        assert main(["recommend", *query_flags(workspace), "--distances", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "missing from distance matrix" in err
+        assert err.startswith("error: POI pair (")
+
+    def test_distances_breaking_triangle_inequality(self, workspace, tmp_path, capsys):
+        # dropping a stop can make a trip dearer, so ALNS may destroy a trip
+        # into one over the budget
+        path = write_distances(tmp_path, [f"p{i}" for i in range(8)])
+        out = tmp_path / "trip.txt"
+        assert main(["recommend", *query_flags(workspace, budget="11000"), "--distances",
+                     str(path), "--runs", "1", "--iterations", "100", "--out", str(out)]) == 0
+        cost = float(capsys.readouterr().out.split("cost_s=")[1].split()[0])
+        assert cost <= 11000.0
+        assert len(out.read_text().splitlines()) >= 2
 
     def test_trace_csv(self, workspace):
         trace = workspace["root"] / "trace.csv"
@@ -392,16 +431,49 @@ class TestAnalyze:
         assert "impacted_user_ratio" in out
 
 
+ALNS_SPANS = {"alns.run", "alns.init_pool", "alns.destroy", "alns.build",
+              "alns.local_search", "alns.objective"}
+QUERY_SPANS = {"cli.load_corpus", "checkins.visit_times", "scoring.context", "scoring.zpair",
+               "graph.reachable", "graph.build"}
+
+
+def recommend_call(solver):
+    def argv(workspace, tmp_path):
+        return ["recommend", *query_flags(workspace), "--solver", solver, "--runs", "1",
+                "--iterations", "5"]
+    return argv
+
+
+def evaluate_call(workspace, tmp_path):
+    return ["evaluate", str(workspace["corpus"]), "--solvers", "random,pop,alns",
+            "--dim", "2", "--epochs", "1", "--runs", "1", "--iterations", "5"]
+
+
+def ingest_call(workspace, tmp_path):
+    return ["ingest", str(workspace["checkins"]), "--pois", str(workspace["pois"]),
+            "--out", str(tmp_path / "corpus.json")]
+
+
 class TestBenchmarkTracer:
     """The benchmark's --trace 1 wraps tripkit functions by module and name
-    (perfbench/spans.py); a rename in src/ must fail here, not only there."""
+    (perfbench/spans.py); a rename in src/, or a call that stops going through
+    the wrapped name, must fail here, not only there."""
 
-    def test_spans_attach_and_fire(self, workspace, monkeypatch):
+    @pytest.mark.parametrize("make, fired, once", [
+        (recommend_call("alns"), QUERY_SPANS | ALNS_SPANS | {"embedding.load"},
+         {"graph.build", "scoring.zpair"}),
+        (recommend_call("exact"), QUERY_SPANS | {"embedding.load", "exact.solve"},
+         {"graph.build", "scoring.zpair", "exact.solve"}),
+        (evaluate_call, QUERY_SPANS | ALNS_SPANS | {
+            "embedding.train", "embedding.sgd_step", "embedding.negatives",
+            "evaluation.folds", "evaluation.baselines"}, {"evaluation.folds"}),
+        (ingest_call, {"checkins.ingest"}, set()),
+    ], ids=["recommend-alns", "recommend-exact", "evaluate", "ingest"])
+    def test_spans_attach_and_fire(self, make, fired, once, workspace, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         monkeypatch.delitem(sys.modules, "spans", raising=False)
         import spans
         with spans.attached(spans.Tracer()) as tracer:
-            assert main(["recommend", *query_flags(workspace), "--runs", "1",
-                         "--iterations", "5"]) == 0
-        assert tracer.calls["graph.build"] == 1
-        assert tracer.calls["scoring.zpair"] == 1
+            assert main(make(workspace, tmp_path)) == 0
+        assert fired - {name for name, calls in tracer.calls.items() if calls} == set()
+        assert {name: tracer.calls[name] for name in once} == dict.fromkeys(once, 1)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from tripkit.checkins import UnknownPoiError
-from tripkit.embedding import (EmbeddingModel, Observation, TrainConfig, bpr_margin,
-                               init_model, observations_from_trip,
-                               sample_negatives, sgd_step, sigmoid, train)
+from tripkit.embedding import (EmbeddingModel, Observation, TrainConfig, init_model,
+                               observations_from_trip, sample_negatives, sgd_step,
+                               sigmoid, train)
 from conftest import make_trip, two_clique_corpus
-from oracles import bpr_objective, prob_full
+from oracles import bpr_margin, bpr_objective, prob_full
 
 
 def small_model(dim=2, pois=("p1", "p2", "p3"), users=("u1",), seed=0):

@@ -262,7 +262,7 @@ class TestEvaluate:
         report = evaluate(trips, ["pop"], pois=poi_coords(trips),
                           train_config=TrainConfig(dim=2, max_iterations=1),
                           alns_config=AlnsConfig(runs=1, iterations=5))
-        assert any("unseen" in e["error"] for e in report.errors)
+        assert any("unknown user: solo" in e["error"] for e in report.errors)
 
     def test_exact_solver_runs(self, small_corpus):
         report = evaluate(small_corpus[:12], ["exact"], pois=poi_coords(small_corpus),

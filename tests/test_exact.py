@@ -7,6 +7,8 @@ import pytest
 from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import lil_matrix
 
+from tripkit.alns import AlnsConfig, run_alns
+from tripkit.evaluation import baseline_pop, baseline_random
 from tripkit.exact import (Constraint, IlpModel, build_ilp, enumerate_all, pvar,
                            solve_exact, write_lp, xpvar, xvar)
 from tripkit.graph import PoiGraph
@@ -281,6 +283,37 @@ class TestSolveExact:
             out = solve_exact(g)
             assert g.feasible(out.trip).ok
             assert out.objective == pytest.approx(g.trip_objective(out.trip))
+
+
+def budget_edge_graph(seed: int) -> PoiGraph:
+    """random_graph(seed, n) with n in 3..7 and the budget set to the cost of
+    a random trip, drawn from default_rng(seed): the edge make_folds produces."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    g = random_graph(seed, n)
+    interior = list(g.interior())
+    k = int(rng.integers(0, len(interior) + 1))
+    trip = [g.start, *(int(v) for v in rng.permutation(interior)[:k]), g.end]
+    return PoiGraph(g.poi_ids, g.vprofit, g.eprofit, g.cost, g.trip_cost(trip),
+                    g.start_visit_cost)
+
+
+class TestBudgetEdgeFuzz:
+    """Two orders of one stop set sum their objective differently; both exact
+    solvers must still return the same trip at a budget equal to a trip's cost."""
+
+    def test_solvers_agree_and_fit(self):
+        counts = {f"p{i}": (7 * i) % 5 for i in range(8)}
+        for seed in range(300):
+            g = budget_edge_graph(seed)
+            a, b = solve_exact(g), enumerate_all(g)
+            assert a.trip == b.trip, f"seed {seed}"
+            alns = run_alns(g, AlnsConfig(runs=1, iterations=30))
+            trips = [a.trip, b.trip, alns.trip, baseline_pop(g, counts),
+                     baseline_random(g, np.random.default_rng(seed))]
+            assert all(g.feasible(t).ok for t in trips), f"seed {seed}"
+            assert alns.score <= a.objective or math.isclose(
+                alns.score, a.objective, rel_tol=1e-12), f"seed {seed}"
 
 
 class TestExternalReferee:

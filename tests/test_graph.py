@@ -1,10 +1,11 @@
+import math
 
 import numpy as np
 import pytest
 
 from tripkit.checkins import TimeCostModel, Poi
 from tripkit.embedding import EmbeddingModel
-from tripkit.graph import PoiGraph, build_graph, reachable_candidates
+from tripkit.graph import PoiGraph, better, build_graph, reachable_candidates
 from tripkit.scoring import Query, ScoreContext
 from conftest import random_graph
 from oracles import ctq_score
@@ -75,6 +76,27 @@ class TestTripObjective:
         a = g.trip_objective([0, 1, 2, 3, 6])
         b = g.trip_objective([0, 3, 1, 2, 6])
         assert a == pytest.approx(b, rel=1e-12)
+
+
+
+class TestBetter:
+    def test_anything_beats_no_trip(self):
+        assert better(0.0, [0, 1], -math.inf, None)
+
+    def test_higher_objective_wins(self):
+        assert better(2.0, [0, 9], 1.0, [0, 1])
+        assert not better(1.0, [0, 1], 2.0, [0, 9])
+
+    def test_near_equal_objectives_tie_to_smaller_trip(self):
+        # two orders of one stop set, a few ulps apart
+        obj = 4.9
+        assert better(obj, [0, 1, 2, 3], obj + 3e-15, [0, 2, 1, 3])
+        assert not better(obj + 3e-15, [0, 2, 1, 3], obj, [0, 1, 2, 3])
+        assert not better(obj, [0, 1, 2, 3], obj, [0, 1, 2, 3])
+
+    def test_relative_tolerance(self):
+        assert better(5.0 * (1 + 2e-12), [0, 9], 5.0, [0, 1])
+        assert better(5e-20, [0, 9], 4e-20, [0, 1])
 
 
 class TestFeasible:

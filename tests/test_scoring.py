@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripkit.embedding import EmbeddingModel
+import tripkit.scoring
 from tripkit.scoring import (Query, ScoreContext, check_zpair, compute_zpair,
                              query_vector)
 from oracles import ctq_score
@@ -161,3 +162,11 @@ class TestZpairCache:
         m = EmbeddingModel(2, {"p0": np.zeros(2)}, {"p0": 0.0}, {})
         with pytest.raises(ValueError):
             compute_zpair(m)
+
+    def test_context_fills_and_reuses_model_zpair(self, monkeypatch):
+        m = model_from(seed=11)
+        assert m.zpair is None
+        ScoreContext(m, Query("u1", "p0", "p1", 3600))
+        assert m.zpair == compute_zpair(m)
+        monkeypatch.setattr(tripkit.scoring, "compute_zpair", None)  # any call fails
+        assert ScoreContext(m, Query("u1", "p2", "p3", 3600)).z_pair == m.zpair
