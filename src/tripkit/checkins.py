@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 EARTH_RADIUS_KM = 6371.0
 DEFAULT_TRIP_WINDOW = 8 * 3600
@@ -323,11 +322,14 @@ def independent_pair_ratio(trips: Sequence[Trip], sample_fraction: float, runs: 
     count vectors, apply a two-sample chi-square test to every pair, and
     count pairs where the same-distribution null is rejected.
     """
+    # the only scipy use in tripkit; importing scipy.stats costs about 65 MB
+    from scipy.stats import chi2
     all_pois = corpus_pois(trips)
     if len(all_pois) < 2:
         raise ValueError("need at least 2 POIs")
     index = {p: i for i, p in enumerate(all_pois)}
     rng = np.random.default_rng(rng_seed)
+    critical = {}  # dof -> the chi-square value rejected above
     ratios = []
     for _ in range(runs):
         n_sample = max(1, round(sample_fraction * len(trips)))
@@ -347,7 +349,11 @@ def independent_pair_ratio(trips: Sequence[Trip], sample_fraction: float, runs: 
                 mask[index[pa]] = mask[index[pb]] = False
                 stat, dof = two_sample_chi_square(counts[pa][mask], counts[pb][mask])
                 total += 1
-                if dof >= 1 and stat > chi2.ppf(1.0 - significance, dof):
+                if dof < 1:
+                    continue
+                if dof not in critical:
+                    critical[dof] = chi2.ppf(1.0 - significance, dof)
+                if stat > critical[dof]:
                     independent += 1
         ratios.append(independent / total)
     return float(np.mean(ratios))

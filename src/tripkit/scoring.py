@@ -58,15 +58,31 @@ class ScoreContext:
         return math.exp(self.model.csim(a, b)) / self.z_pair
 
 
+# pair similarities held at once by `compute_zpair`: 2^19 floats, 4 MB
+ZPAIR_BLOCK = 1 << 19
+
+
 def compute_zpair(model: EmbeddingModel) -> float:
-    """Normalizer over all ordered distinct POI pairs: sum of exp(csim)."""
+    """Normalizer over all ordered distinct POI pairs: sum of exp(csim).
+
+    csim is symmetric, so this is twice the sum over pairs i < j. It is
+    summed in blocks of rows of the upper triangle, so no P x P matrix is
+    held. The sum is not shifted: an overflow gives inf, which `ScoreContext`
+    rejects."""
     ids = model.poi_ids
-    if len(ids) < 2:
+    n = len(ids)
+    if n < 2:
         raise ValueError("pair normalizer needs at least 2 POIs")
     mat = np.stack([model.poi_vec[p] for p in ids])
-    sims = mat @ mat.T
-    np.fill_diagonal(sims, -np.inf)
-    return float(np.exp(sims).sum())
+    rows = max(1, ZPAIR_BLOCK // n)
+    total = 0.0
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n - 1)
+        # row i against columns j = lo+1 .. n-1; only j > i counts
+        sims = mat[lo:hi] @ mat[lo + 1:].T
+        sims[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = -np.inf
+        total += float(np.exp(sims, out=sims).sum())
+    return 2.0 * total
 
 
 def check_zpair(model: EmbeddingModel, cached: float) -> float:

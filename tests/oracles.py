@@ -158,6 +158,18 @@ def ctq_score(ctx: ScoreContext, trip: Sequence[str]) -> float:
     return score
 
 
+# --- the pair normalizer from the full matrix -----------------------------------
+
+
+def zpair_full(model: EmbeddingModel) -> float:
+    """z_pair from the dense P x P similarity matrix, as tripkit computed it
+    before summing in row blocks; model files written then hold this value."""
+    mat = np.stack([model.poi_vec[p] for p in model.poi_ids])
+    sims = mat @ mat.T
+    np.fill_diagonal(sims, -np.inf)
+    return float(np.exp(sims).sum())
+
+
 # --- the integer program's assignments -----------------------------------------
 
 FLOAT_TOL = 1e-9  # the assignment checker's tolerance for every constraint row

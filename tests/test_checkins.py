@@ -264,6 +264,16 @@ class TestIndependentPairRatio:
                                     significance=0.05, rng_seed=9)
         assert r1 == r2
 
+    def test_critical_value_looked_up_once_per_dof(self, clique_corpus, monkeypatch):
+        from scipy.stats import chi2
+        trips, _ = clique_corpus
+        real, asked = chi2.ppf, []
+        monkeypatch.setattr(chi2, "ppf", lambda q, dof: asked.append(dof) or real(q, dof))
+        ratio = independent_pair_ratio(trips, sample_fraction=0.5, runs=5,
+                                       significance=0.05, rng_seed=3)
+        assert ratio == 0.5263157894736842  # the value of a lookup for every pair
+        assert len(asked) == len(set(asked)) > 1
+
     def test_needs_two_pois(self):
         with pytest.raises(ValueError):
             independent_pair_ratio([make_trip("u1", ["p1"])], sample_fraction=0.5, runs=1,

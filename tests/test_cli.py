@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from tripkit.cli import load_corpus, main
 from tripkit.embedding import EmbeddingModel, TrainConfig, train
 from tripkit.scoring import compute_zpair
 from lp_reader import read_lp
+from oracles import zpair_full
 
 
 def write_inputs(root: Path, seed=0):
@@ -192,6 +195,21 @@ class TestRecommend:
         assert main(["recommend", *query_flags(workspace), "--runs", "1",
                      "--iterations", "20"]) == 0
         assert len(calls) == 1
+
+    def test_model_file_with_full_matrix_zpair(self, workspace, tmp_path):
+        # model files written before z_pair was summed in row blocks hold the
+        # full-matrix sum; check_zpair's relative 1e-9 accepts it
+        with open(workspace["model"]) as fh:
+            model = EmbeddingModel.load(fh)
+        model.zpair = zpair_full(model)
+        path = tmp_path / "old.txt"
+        with open(path, "w") as fh:
+            model.save(fh)
+        flags = query_flags(workspace)
+        flags[flags.index("--model") + 1] = str(path)
+        for solver in ("alns", "exact"):
+            assert main(["recommend", *flags, "--solver", solver, "--runs", "1",
+                         "--iterations", "20"]) == 0
 
     def test_normalizer_overflow_exit_4(self, workspace, capsys):
         # vectors of 30.0 in 13 dimensions: exp(user . poi) overflows a double
@@ -429,6 +447,46 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "independent_pair_ratio" in out
         assert "impacted_user_ratio" in out
+
+
+SCIPY_MODULES_AFTER = """
+import contextlib, json, os, sys
+from tripkit.cli import main
+for argv in json.loads(sys.argv[1]):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        if main(argv) != 0:
+            sys.exit(f"{argv[0]} failed")
+    print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_only_analyze_imports_scipy(workspace, tmp_path):
+    # importing scipy.stats costs a process about 65 MB; the calls below run
+    # in turn in one fresh interpreter, which lists the scipy modules after each
+    corpus, model = tmp_path / "corpus.json", tmp_path / "model.txt"
+    query = query_flags(workspace)
+    query[query.index("--model") + 1] = str(model)
+    query[query.index("--corpus") + 1] = str(corpus)
+    calls = [
+        ["ingest", str(workspace["checkins"]), "--pois", str(workspace["pois"]),
+         "--out", str(corpus)],
+        ["train", str(corpus), "--out", str(model), "--dim", "4", "--epochs", "5"],
+        ["recommend", *query, "--solver", "alns", "--runs", "1", "--iterations", "20"],
+        ["recommend", *query, "--solver", "exact"],
+        ["evaluate", str(corpus), "--solvers", "random,pop,alns", "--dim", "2",
+         "--epochs", "1", "--runs", "1", "--iterations", "5", "--out", str(tmp_path / "e.csv")],
+        ["export-lp", *query, "--out", str(tmp_path / "q.lp")],
+        ["analyze", str(corpus), "--runs", "2"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_MODULES_AFTER, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(loaded) == len(calls)
+    assert loaded[:-1] == [[]] * (len(calls) - 1)
+    assert "scipy.stats" in loaded[-1]  # the check sees scipy once it is there
 
 
 ALNS_SPANS = {"alns.run", "alns.init_pool", "alns.destroy", "alns.build",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from tripkit.embedding import EmbeddingModel
 import tripkit.scoring
 from tripkit.scoring import (Query, ScoreContext, check_zpair, compute_zpair,
                              query_vector)
-from oracles import ctq_score
+from oracles import ctq_score, zpair_full
 
 
 def model_from(seed=0, dim=3, n_pois=5, users=("u1",)):
@@ -84,6 +85,31 @@ class TestNcsim:
         ctx = ScoreContext(m, Query("u1", "p0", "p1", 3600))
         total = sum(ctx.ncsim(a, b) for a in m.poi_vec for b in m.poi_vec if a != b)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    # (POIs, rows per block): the upper triangle has POIs - 1 rows; None keeps
+    # the library's block size (at 725 POIs, one full block and a 1-row block)
+    @pytest.mark.parametrize("n_pois, rows", [
+        (2, None), (3, None), (725, None),
+        (10, 10), (10, 9), (10, 8), (10, 4),
+    ], ids=["P2", "P3", "P725", "one-block-minus-one", "one-block", "one-block-plus-one",
+            "two-blocks-plus-one"])
+    def test_blocked_matches_full_matrix(self, n_pois, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(tripkit.scoring, "ZPAIR_BLOCK", n_pois * rows)
+        m = model_from(seed=n_pois, dim=4, n_pois=n_pois)
+        assert compute_zpair(m) == pytest.approx(zpair_full(m), rel=1e-12)
+        assert check_zpair(m, zpair_full(m)) == compute_zpair(m)
+
+    def test_pair_normalizer_holds_no_full_matrix(self):
+        # the two 3,000 x 3,000 matrices of the full formula take 72 MB each
+        m = model_from(seed=12, dim=8, n_pois=3000)
+        tracemalloc.start()
+        try:
+            compute_zpair(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_same_poi_rejected(self):
         ctx = ScoreContext(model_from(), Query("u1", "p0", "p1", 3600))
