@@ -285,11 +285,12 @@ def corpus_pois(trips: Sequence[Trip]) -> list[str]:
     return sorted({p for trip in trips for p in trip.poi_ids})
 
 
-def cooccurrence_counts(poi_id: str, trips: Sequence[Trip],
+def cooccurrence_counts(poi_id: str, poi_sets: Sequence[frozenset[str]],
                         poi_index: dict[str, int]) -> np.ndarray:
+    """How many of the trips (given by their POI sets) hold poi_id together
+    with each other POI."""
     counts = np.zeros(len(poi_index), dtype=np.int64)
-    for trip in trips:
-        pois = trip.poi_set()
+    for pois in poi_sets:
         if poi_id in pois:
             for other in pois:
                 if other != poi_id:
@@ -334,7 +335,7 @@ def independent_pair_ratio(trips: Sequence[Trip], sample_fraction: float, runs: 
     for _ in range(runs):
         n_sample = max(1, round(sample_fraction * len(trips)))
         chosen = rng.choice(len(trips), size=n_sample, replace=False)
-        sample = [trips[i] for i in chosen]
+        sample = [trips[i].poi_set() for i in chosen]
         counts = {p: cooccurrence_counts(p, sample, index) for p in all_pois}
         active = [p for p in all_pois if counts[p].sum() > 0]
         if len(active) < 2:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,11 +57,17 @@ class EmbeddingModel:
         self.zpair = zpair
         if set(poi_vec) != set(poi_pop):
             raise ValueError("every POI needs both a vector and a popularity bias")
-        for name, vec in list(poi_vec.items()) + list(user_vec.items()):
-            if vec.shape != (dim,):
-                raise ValueError(f"vector for {name} has shape {vec.shape}, expected ({dim},)")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"non-finite vector for {name}")
+        # the first bad vector in POI-then-user order is named, whether its
+        # shape or its values are bad
+        named = list(poi_vec.items()) + list(user_vec.items())
+        shaped = next((i for i, (_, vec) in enumerate(named) if vec.shape != (dim,)), len(named))
+        if shaped:
+            finite = np.isfinite(np.stack([vec for _, vec in named[:shaped]])).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"non-finite vector for {named[int(finite.argmin())][0]}")
+        if shaped < len(named):
+            name, vec = named[shaped]
+            raise ValueError(f"vector for {name} has shape {vec.shape}, expected ({dim},)")
 
     @property
     def poi_ids(self) -> list[str]:
@@ -85,23 +91,7 @@ class EmbeddingModel:
         except KeyError:
             raise UnknownPoiError(f"unknown user: {user_id}") from None
 
-    def assert_finite(self):
-        for vec in self.poi_vec.values():
-            if not np.all(np.isfinite(vec)):
-                raise FloatingPointError("non-finite POI vector")
-        for vec in self.user_vec.values():
-            if not np.all(np.isfinite(vec)):
-                raise FloatingPointError("non-finite user vector")
-        if not all(math.isfinite(p) for p in self.poi_pop.values()):
-            raise FloatingPointError("non-finite popularity bias")
-
     # --- inference -----------------------------------------------------
-
-    def context_vector(self, context: Iterable[str]) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for poi_id in context:
-            out += self.vec(poi_id)
-        return out
 
     def csim(self, a: str, b: str) -> float:
         return float(self.vec(a) @ self.vec(b))
@@ -149,69 +139,82 @@ class EmbeddingModel:
         return cls(dim, poi_vec, poi_pop, user_vec, zpair=zpair)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (trip, target POI) training example; context is the rest of the trip."""
-    user_id: str
-    trip_pois: frozenset[str]
-    target: str
-    context: frozenset[str]
+def compile_observations(trips: Sequence[Trip], pois: Sequence[str],
+                         users: Sequence[str]) -> list[tuple[int, list[int], int, np.ndarray]]:
+    """Every (trip, target POI) training example as rows of the parameter
+    matrices: (user row, the trip's POI rows ascending, target row, the other
+    rows of the trip ascending). Sorted ids give ascending rows, so the context
+    rows keep the order of the sorted context ids."""
+    poi_row = {p: i for i, p in enumerate(pois)}
+    user_row = {u: j for j, u in enumerate(users)}
+    observations = []
+    for trip in trips:
+        user = user_row[trip.user_id]
+        inside = sorted(poi_row[p] for p in trip.poi_set())
+        for visit in trip.visits:
+            target = poi_row[visit.poi_id]
+            context = np.array([r for r in inside if r != target], dtype=np.intp)
+            observations.append((user, inside, target, context))
+    return observations
 
 
-def observations_from_trip(trip: Trip) -> list[Observation]:
-    pois = trip.poi_set()
-    return [Observation(trip.user_id, pois, v.poi_id, pois - {v.poi_id})
-            for v in trip.visits]
-
-
-def sgd_step(model: EmbeddingModel, obs: Observation, negative: str,
-             config: TrainConfig):
-    """One BPR gradient-ascent step; all updates read pre-step parameter values."""
+def sgd_step(P: np.ndarray, U: np.ndarray, pop: list[float], user: int, target: int,
+             context: np.ndarray, negative: int, config: TrainConfig):
+    """One BPR gradient-ascent step on rows of the POI matrix `P`, the user
+    matrix `U` and the popularity biases `pop`; every update reads pre-step
+    values. The target, negative and context rows must be distinct."""
     eta, lam = config.learning_rate, config.regularization
     mode = config.mode
-    u = model.user_vec[obs.user_id]
-    lt = model.poi_vec[obs.target]
-    ln = model.poi_vec[negative]
-    context = sorted(obs.context)
-    if mode == "full":
-        c = model.context_vector(context)
-    else:
-        c = np.zeros(model.dim)
-
     if mode == "pop-only":
-        z = model.poi_pop[obs.target] - model.poi_pop[negative]
+        z = pop[target] - pop[negative]
     else:
-        z = float(lt @ c + lt @ u + model.pop(obs.target)
-                  - ln @ c - ln @ u - model.pop(negative))
+        u0, lt0, ln0 = U[user], P[target], P[negative]   # views: read before any write
+        if mode == "full":
+            li0 = P[context]
+            # summed row after row, as the context vector always was: `sum`
+            # pairs rows up when d = 1, which moves the last bit
+            c = np.add.accumulate(li0)[-1] if len(li0) else np.zeros(len(u0))
+            z = (float(lt0 @ c) + float(lt0 @ u0) + pop[target]
+                 - float(ln0 @ c) - float(ln0 @ u0) - pop[negative])
+            uc = u0 + c
+        else:
+            z = float(lt0 @ u0) + pop[target] - float(ln0 @ u0) - pop[negative]
+            uc = u0
     delta = 1.0 - sigmoid(z)
 
-    u0, lt0, ln0 = u.copy(), lt.copy(), ln.copy()
     if mode != "pop-only":
-        model.user_vec[obs.user_id] = u0 + eta * (delta * (lt0 - ln0) - 2 * lam * u0)
-        model.poi_vec[obs.target] = lt0 + eta * (delta * (u0 + c) - 2 * lam * lt0)
+        toward_target = delta * (lt0 - ln0)
+        toward_context = delta * uc
+        U[user] = u0 + eta * (toward_target - 2 * lam * u0)
+        P[target] = lt0 + eta * (toward_context - 2 * lam * lt0)
         if config.corrected_reg:
-            model.poi_vec[negative] = ln0 - eta * (delta * (u0 + c) + 2 * lam * ln0)
+            P[negative] = ln0 - eta * (toward_context + 2 * lam * ln0)
         else:
-            model.poi_vec[negative] = ln0 - eta * (delta * (u0 + c) - 2 * lam * ln0)
-    model.poi_pop[obs.target] += eta * (delta - 2 * lam * model.poi_pop[obs.target])
+            P[negative] = ln0 - eta * (toward_context - 2 * lam * ln0)
+        if mode == "full":
+            P[context] = li0 + eta * (toward_target - 2 * lam * li0)
+    pop[target] += eta * (delta - 2 * lam * pop[target])
     if config.corrected_reg:
-        model.poi_pop[negative] -= eta * (delta + 2 * lam * model.poi_pop[negative])
+        pop[negative] -= eta * (delta + 2 * lam * pop[negative])
     else:
-        model.poi_pop[negative] -= eta * (delta - 2 * lam * model.poi_pop[negative])
-    if mode == "full":
-        for poi_id in context:
-            li0 = model.poi_vec[poi_id]
-            model.poi_vec[poi_id] = li0 + eta * (delta * (lt0 - ln0) - 2 * lam * li0)
+        pop[negative] -= eta * (delta - 2 * lam * pop[negative])
 
 
-def sample_negatives(trip_pois: frozenset[str], all_pois: Sequence[str], k: int,
-                     rng: np.random.Generator) -> list[str]:
-    """Draw k POIs uniformly with replacement from those outside the trip."""
-    eligible = [i for i, p in enumerate(all_pois) if p not in trip_pois]
-    if not eligible:
+def sample_negatives(inside: Sequence[int], n: int, k: int,
+                     rng: np.random.Generator) -> list[int]:
+    """Draw k of the n rows uniformly with replacement from those outside the
+    trip's rows `inside` (ascending). Draw j is the j-th row outside, so these
+    are the rows, and the generator calls, of `rng.choice(eligible, size=k)`."""
+    if len(inside) >= n:
         raise ValueError("trip covers every POI; no negatives available")
-    idx = rng.choice(eligible, size=k, replace=True)
-    return [all_pois[i] for i in idx]
+    rows = []
+    for row in rng.integers(0, n - len(inside), size=k).tolist():
+        for r in inside:
+            if r > row:
+                break
+            row += 1
+        rows.append(row)
+    return rows
 
 
 def init_model(trips: Sequence[Trip], config: TrainConfig,
@@ -239,17 +242,25 @@ def train(trips: Sequence[Trip], config: TrainConfig | None = None) -> Embedding
         raise ValueError("training corpus is empty")
     config = config or TrainConfig()
     rng = np.random.default_rng(config.rng_seed)
-    model = init_model(trips, config, rng)
-    all_pois = model.poi_ids
-    observations = [obs for t in trips for obs in observations_from_trip(t)]
-    order = np.arange(len(observations))
+    init = init_model(trips, config, rng)
+    pois, users = init.poi_ids, sorted(init.user_vec)
+    P = np.stack([init.poi_vec[p] for p in pois])
+    U = np.stack([init.user_vec[u] for u in users])
+    pop = [init.poi_pop[p] for p in pois]
+    observations = compile_observations(trips, pois, users)
+    order = range(len(observations))
     for _ in range(config.max_iterations):
         if config.shuffle:
             order = rng.permutation(len(observations))
         for i in order:
-            obs = observations[i]
-            negatives = sample_negatives(obs.trip_pois, all_pois, config.negatives, rng)
-            for neg in negatives:
-                sgd_step(model, obs, neg, config)
-        model.assert_finite()
-    return model
+            user, inside, target, context = observations[i]
+            for negative in sample_negatives(inside, len(pois), config.negatives, rng):
+                sgd_step(P, U, pop, user, target, context, negative, config)
+        if not np.isfinite(P).all():
+            raise FloatingPointError("non-finite POI vector")
+        if not np.isfinite(U).all():
+            raise FloatingPointError("non-finite user vector")
+        if not all(math.isfinite(p) for p in pop):
+            raise FloatingPointError("non-finite popularity bias")
+    return EmbeddingModel(config.dim, dict(zip(pois, P)), dict(zip(pois, pop)),
+                          dict(zip(users, U)))

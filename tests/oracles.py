@@ -5,18 +5,25 @@ The ALNS part is the straightforward form of the build and 2-opt layers: it
 rescans every gap for every vertex at every insertion and re-sums every 2-opt
 segment. `tripkit.alns` carries that state between steps instead, and
 `test_oracles.py` checks that both give the same lists, bit for bit.
+
+The embedding part is the BPR trainer on dicts of vectors keyed by id: each
+step sums the context vector POI by POI, and each observation rebuilds the
+list of POIs outside its trip before drawing negatives. `tripkit.embedding`
+trains on row matrices instead, and `test_oracles.py` checks that both write
+the same model files, byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+import tripkit.embedding as embedding
 from tripkit.checkins import Trip, UnknownPoiError
-from tripkit.embedding import (EmbeddingModel, TrainConfig,
-                               observations_from_trip, sample_negatives, sigmoid)
+from tripkit.embedding import EmbeddingModel, TrainConfig, init_model, sigmoid
 from tripkit.exact import Constraint, IlpModel, pvar, xpvar, xvar
 from tripkit.graph import PoiGraph, within_budget
 from tripkit.scoring import ScoreContext
@@ -231,6 +238,132 @@ def encode_trip(model: IlpModel, trip: Sequence[int]) -> dict[str, float]:
     return assignment
 
 
+# --- the BPR trainer on dicts ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Observation:
+    """One (trip, target POI) training example; context is the rest of the trip."""
+    user_id: str
+    trip_pois: frozenset[str]
+    target: str
+    context: frozenset[str]
+
+
+def observations_from_trip(trip: Trip) -> list[Observation]:
+    pois = trip.poi_set()
+    return [Observation(trip.user_id, pois, v.poi_id, pois - {v.poi_id})
+            for v in trip.visits]
+
+
+def context_vector(model: EmbeddingModel, context: Iterable[str]) -> np.ndarray:
+    out = np.zeros(model.dim)
+    for poi_id in context:
+        out += model.vec(poi_id)
+    return out
+
+
+def assert_finite(model: EmbeddingModel):
+    for vec in model.poi_vec.values():
+        if not np.all(np.isfinite(vec)):
+            raise FloatingPointError("non-finite POI vector")
+    for vec in model.user_vec.values():
+        if not np.all(np.isfinite(vec)):
+            raise FloatingPointError("non-finite user vector")
+    if not all(math.isfinite(p) for p in model.poi_pop.values()):
+        raise FloatingPointError("non-finite popularity bias")
+
+
+def sgd_step(model: EmbeddingModel, obs: Observation, negative: str,
+             config: TrainConfig):
+    """One BPR gradient-ascent step; all updates read pre-step parameter values."""
+    eta, lam = config.learning_rate, config.regularization
+    mode = config.mode
+    u = model.user_vec[obs.user_id]
+    lt = model.poi_vec[obs.target]
+    ln = model.poi_vec[negative]
+    context = sorted(obs.context)
+    if mode == "full":
+        c = context_vector(model, context)
+    else:
+        c = np.zeros(model.dim)
+
+    if mode == "pop-only":
+        z = model.poi_pop[obs.target] - model.poi_pop[negative]
+    else:
+        z = float(lt @ c + lt @ u + model.pop(obs.target)
+                  - ln @ c - ln @ u - model.pop(negative))
+    delta = 1.0 - sigmoid(z)
+
+    u0, lt0, ln0 = u.copy(), lt.copy(), ln.copy()
+    if mode != "pop-only":
+        model.user_vec[obs.user_id] = u0 + eta * (delta * (lt0 - ln0) - 2 * lam * u0)
+        model.poi_vec[obs.target] = lt0 + eta * (delta * (u0 + c) - 2 * lam * lt0)
+        if config.corrected_reg:
+            model.poi_vec[negative] = ln0 - eta * (delta * (u0 + c) + 2 * lam * ln0)
+        else:
+            model.poi_vec[negative] = ln0 - eta * (delta * (u0 + c) - 2 * lam * ln0)
+    model.poi_pop[obs.target] += eta * (delta - 2 * lam * model.poi_pop[obs.target])
+    if config.corrected_reg:
+        model.poi_pop[negative] -= eta * (delta + 2 * lam * model.poi_pop[negative])
+    else:
+        model.poi_pop[negative] -= eta * (delta - 2 * lam * model.poi_pop[negative])
+    if mode == "full":
+        for poi_id in context:
+            li0 = model.poi_vec[poi_id]
+            model.poi_vec[poi_id] = li0 + eta * (delta * (lt0 - ln0) - 2 * lam * li0)
+
+
+def sample_negatives(trip_pois: frozenset[str], all_pois: Sequence[str], k: int,
+                     rng: np.random.Generator) -> list[str]:
+    """Draw k POIs uniformly with replacement from those outside the trip."""
+    eligible = [i for i, p in enumerate(all_pois) if p not in trip_pois]
+    if not eligible:
+        raise ValueError("trip covers every POI; no negatives available")
+    idx = rng.choice(eligible, size=k, replace=True)
+    return [all_pois[i] for i in idx]
+
+
+def train_reference(trips: Sequence[Trip], config: TrainConfig | None = None) -> EmbeddingModel:
+    """BPR training with negative sampling over all (trip, target) observations."""
+    if not trips:
+        raise ValueError("training corpus is empty")
+    config = config or TrainConfig()
+    rng = np.random.default_rng(config.rng_seed)
+    model = init_model(trips, config, rng)
+    all_pois = model.poi_ids
+    observations = [obs for t in trips for obs in observations_from_trip(t)]
+    order = np.arange(len(observations))
+    for _ in range(config.max_iterations):
+        if config.shuffle:
+            order = rng.permutation(len(observations))
+        for i in order:
+            obs = observations[i]
+            negatives = sample_negatives(obs.trip_pois, all_pois, config.negatives, rng)
+            for neg in negatives:
+                sgd_step(model, obs, neg, config)
+        assert_finite(model)
+    return model
+
+
+def array_step(model: EmbeddingModel, obs: Observation, negative: str,
+               config: TrainConfig):
+    """`tripkit.embedding.sgd_step` applied to a dict model: the model's
+    vectors are stacked as rows in sorted-id order, stepped, and written back."""
+    pois, users = model.poi_ids, sorted(model.user_vec)
+    row = {p: i for i, p in enumerate(pois)}
+    P = np.stack([model.poi_vec[p] for p in pois])
+    U = np.stack([model.user_vec[u] for u in users])
+    pop = [model.poi_pop[p] for p in pois]
+    context = np.array([row[p] for p in sorted(obs.context)], dtype=np.intp)
+    embedding.sgd_step(P, U, pop, users.index(obs.user_id), row[obs.target], context,
+                       row[negative], config)
+    for p, i in row.items():
+        model.poi_vec[p], model.poi_pop[p] = P[i], pop[i]
+    for j, u in enumerate(users):
+        model.user_vec[u] = U[j]
+
+
 # --- the embedding's likelihoods -------------------------------------------------
 
 
@@ -241,7 +374,7 @@ def prob_full(model: EmbeddingModel, poi_id: str, context: Iterable[str] | None 
     if user_id is not None:
         base = base + model.user(user_id)
     if context is not None:
-        base = base + model.context_vector(context)
+        base = base + context_vector(model, context)
     scores = {p: float(model.poi_vec[p] @ base) + model.poi_pop[p] for p in model.poi_vec}
     if poi_id not in scores:
         raise UnknownPoiError(f"unknown POI: {poi_id}")
@@ -253,7 +386,7 @@ def prob_full(model: EmbeddingModel, poi_id: str, context: Iterable[str] | None 
 def bpr_margin(model: EmbeddingModel, target: str, negative: str,
                context: Iterable[str], user_id: str) -> float:
     """Score gap z between the observed POI and a sampled negative."""
-    c = model.context_vector(context)
+    c = context_vector(model, context)
     u = model.user(user_id)
     lt, ln = model.vec(target), model.vec(negative)
     return float(lt @ c + lt @ u + model.pop(target)

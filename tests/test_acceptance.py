@@ -13,14 +13,14 @@ import pytest
 from tripkit.alns import AlnsConfig, SolutionPool, destroy, init_pool, local_search, \
     removal_count, run_alns, sa_accept, DESTROY_OPS
 from tripkit.checkins import Poi, TimeCostModel
-from tripkit.embedding import EmbeddingModel, Observation, TrainConfig, sgd_step, train
+from tripkit.embedding import EmbeddingModel, TrainConfig, train
 from tripkit.evaluation import evaluate
 from tripkit.exact import build_ilp, enumerate_all, solve_exact, xpvar, xvar
 from tripkit.graph import PoiGraph, build_graph
 from tripkit.scoring import Query, ScoreContext, compute_zpair
 from conftest import make_trip, random_graph, two_clique_corpus
 from test_embedding import clique_similarity, finite_diff_gradients
-from oracles import check_assignment, encode_trip, prob_full, satisfied
+from oracles import Observation, array_step, check_assignment, encode_trip, prob_full, satisfied
 
 
 def report(name: str, detail: str):
@@ -207,9 +207,9 @@ class TestAcceptance:
             before_vec = {p: m.poi_vec[p].copy() for p in pois}
             before_pop = dict(m.poi_pop)
             before_user = m.user_vec["u1"].copy()
-            sgd_step(m, obs, negative,
-                     TrainConfig(dim=3, learning_rate=eta, regularization=lam,
-                                 corrected_reg=True))
+            array_step(m, obs, negative,
+                       TrainConfig(dim=3, learning_rate=eta, regularization=lam,
+                                   corrected_reg=True))
             actual = {
                 "user": (m.user_vec["u1"] - before_user) / eta,
                 "target": (m.poi_vec["p0"] - before_vec["p0"]) / eta,

@@ -204,18 +204,20 @@ class TestPoiFile:
 class TestCooccurrence:
     def test_single_partner(self):
         trips = [make_trip("u1", ["p1", "p2"], start=i * 10**6) for i in range(3)]
-        counts = cooccurrence_counts("p1", trips, {"p1": 0, "p2": 1})
+        counts = cooccurrence_counts("p1", [t.poi_set() for t in trips], {"p1": 0, "p2": 1})
         assert counts.tolist() == [0, 3]
 
     def test_even_split(self):
         trips = ([make_trip("u1", ["p1", "p2"], start=i * 10**6) for i in range(2)]
                  + [make_trip("u1", ["p1", "p3"], start=(i + 5) * 10**6) for i in range(2)])
-        counts = cooccurrence_counts("p1", trips, {"p1": 0, "p2": 1, "p3": 2})
+        counts = cooccurrence_counts("p1", [t.poi_set() for t in trips],
+                                     {"p1": 0, "p2": 1, "p3": 2})
         assert counts.tolist() == [0, 2, 2]
 
     def test_singleton_trips_zero_vector(self):
         trips = [make_trip("u1", ["p1"]), make_trip("u2", ["p2", "p3"])]
-        counts = cooccurrence_counts("p1", trips, {"p1": 0, "p2": 1, "p3": 2})
+        counts = cooccurrence_counts("p1", [t.poi_set() for t in trips],
+                                     {"p1": 0, "p2": 1, "p3": 2})
         assert counts.tolist() == [0, 0, 0]
 
     def test_counts_every_partner_once_per_trip(self):
@@ -223,7 +225,8 @@ class TestCooccurrence:
         pois = [f"p{i}" for i in range(6)]
         trips = [make_trip("u1", list(rng.choice(pois, size=3, replace=False)),
                            start=i * 10**6) for i in range(20)]
-        counts = cooccurrence_counts("p0", trips, {p: i for i, p in enumerate(pois)})
+        counts = cooccurrence_counts("p0", [t.poi_set() for t in trips],
+                                     {p: i for i, p in enumerate(pois)})
         expected = [sum(1 for t in trips if "p0" in t.poi_ids and p in t.poi_ids)
                     for p in pois]
         expected[0] = 0

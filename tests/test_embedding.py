@@ -1,15 +1,17 @@
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from tripkit.checkins import UnknownPoiError
-from tripkit.embedding import (EmbeddingModel, Observation, TrainConfig, init_model,
-                               observations_from_trip, sample_negatives, sgd_step,
-                               sigmoid, train)
+from tripkit.embedding import (EmbeddingModel, TrainConfig, compile_observations,
+                               init_model, sample_negatives, sigmoid, train)
 from conftest import make_trip, two_clique_corpus
-from oracles import bpr_margin, bpr_objective, prob_full
+import oracles
+from oracles import (Observation, array_step, bpr_margin, bpr_objective, context_vector,
+                     prob_full)
 
 
 def small_model(dim=2, pois=("p1", "p2", "p3"), users=("u1",), seed=0):
@@ -29,24 +31,24 @@ def zero_model(dim=2, pois=("p1", "p2", "p3", "p4"), users=("u1",)):
 class TestContextVector:
     def test_empty(self):
         m = small_model()
-        assert m.context_vector([]).tolist() == [0.0, 0.0]
+        assert context_vector(m, []).tolist() == [0.0, 0.0]
 
     def test_unit_sum(self):
         m = zero_model()
         m.poi_vec["p1"] = np.array([1.0, 0.0])
         m.poi_vec["p2"] = np.array([0.0, 1.0])
-        assert m.context_vector(["p1", "p2"]).tolist() == [1.0, 1.0]
+        assert context_vector(m, ["p1", "p2"]).tolist() == [1.0, 1.0]
 
     def test_componentwise(self):
         m = zero_model()
         m.poi_vec["p1"] = np.array([1.0, 2.0])
         m.poi_vec["p2"] = np.array([3.0, 4.0])
         m.poi_vec["p3"] = np.array([-1.0, 0.0])
-        assert m.context_vector(["p1", "p2", "p3"]).tolist() == [3.0, 6.0]
+        assert context_vector(m, ["p1", "p2", "p3"]).tolist() == [3.0, 6.0]
 
     def test_unknown_poi(self):
         with pytest.raises(UnknownPoiError):
-            small_model().context_vector(["nope"])
+            context_vector(small_model(), ["nope"])
 
 
 class TestCsim:
@@ -133,7 +135,7 @@ class TestSgdStep:
         m = small_model(seed=1)
         before = {p: m.poi_vec[p].copy() for p in m.poi_vec}
         cfg = TrainConfig(dim=2, learning_rate=1e-300)
-        sgd_step(m, self.obs(), "p2", cfg)
+        array_step(m, self.obs(), "p2", cfg)
         for p in before:
             assert np.allclose(m.poi_vec[p], before[p], atol=1e-12)
 
@@ -142,7 +144,7 @@ class TestSgdStep:
         m.poi_pop["p1"] = 40.0  # z = 40 -> delta ~ 4e-18
         cfg = TrainConfig(dim=2, learning_rate=0.1, regularization=0.0)
         before = m.poi_vec["p3"].copy()
-        sgd_step(m, self.obs(), "p2", cfg)
+        array_step(m, self.obs(), "p2", cfg)
         assert np.max(np.abs(m.poi_vec["p3"] - before)) < 1e-6
 
     def test_single_step_hand_computed(self):
@@ -167,7 +169,14 @@ class TestSgdStep:
         exp_pt = 0.05 + eta * (delta - 2 * lam * 0.05)
         exp_pn = -0.02 - eta * (delta - 2 * lam * -0.02)
         cfg = TrainConfig(dim=2, learning_rate=eta, regularization=lam)
-        sgd_step(m, self.obs(), "p2", cfg)
+        ref = EmbeddingModel(2, {p: v.copy() for p, v in m.poi_vec.items()}, dict(m.poi_pop),
+                             {u: v.copy() for u, v in m.user_vec.items()})
+        array_step(m, self.obs(), "p2", cfg)
+        oracles.sgd_step(ref, self.obs(), "p2", cfg)
+        for p in m.poi_vec:
+            assert np.array_equal(m.poi_vec[p], ref.poi_vec[p])
+        assert m.poi_pop == ref.poi_pop
+        assert np.array_equal(m.user_vec["u1"], ref.user_vec["u1"])
         assert np.allclose(m.user_vec["u1"], exp_u, atol=1e-15)
         assert np.allclose(m.poi_vec["p1"], exp_lt, atol=1e-15)
         assert np.allclose(m.poi_vec["p2"], exp_ln, atol=1e-15)
@@ -234,7 +243,7 @@ class TestGradientCheck:
         before_user = m.user_vec["u1"].copy()
         cfg = TrainConfig(dim=3, learning_rate=eta, regularization=lam,
                           corrected_reg=True)
-        sgd_step(m, obs, negative, cfg)
+        array_step(m, obs, negative, cfg)
         checks = {
             "user": (m.user_vec["u1"] - before_user) / eta,
             "target": (m.poi_vec["p0"] - before_vec["p0"]) / eta,
@@ -254,29 +263,48 @@ class TestGradientCheck:
 class TestSampleNegatives:
     def test_single_remaining(self):
         rng = np.random.default_rng(0)
-        out = sample_negatives(frozenset({"p1", "p2"}), ["p1", "p2", "p3"], 5, rng)
-        assert out == ["p3"] * 5
+        out = sample_negatives([0, 1], 3, 5, rng)
+        assert out == [2] * 5
 
     def test_deterministic(self):
-        a = sample_negatives(frozenset({"p1"}), ["p1", "p2", "p3"], 4,
-                             np.random.default_rng(7))
-        b = sample_negatives(frozenset({"p1"}), ["p1", "p2", "p3"], 4,
-                             np.random.default_rng(7))
+        a = sample_negatives([0], 3, 4, np.random.default_rng(7))
+        b = sample_negatives([0], 3, 4, np.random.default_rng(7))
         assert a == b
 
     def test_all_covered_errors(self):
         with pytest.raises(ValueError):
-            sample_negatives(frozenset({"p1", "p2"}), ["p1", "p2"], 1,
-                             np.random.default_rng(0))
+            sample_negatives([0, 1], 2, 1, np.random.default_rng(0))
 
     def test_uniformity(self):
         rng = np.random.default_rng(123)
-        pool = ["t", "a", "b", "c", "d"]
-        draws = sample_negatives(frozenset({"t"}), pool, 10**5, rng)
-        for p in "abcd":
-            freq = draws.count(p) / 10**5
+        draws = sample_negatives([0], 5, 10**5, rng)
+        for row in range(1, 5):
+            freq = draws.count(row) / 10**5
             assert abs(freq - 0.25) < 0.02 * 1.0  # within +-2 points of 0.25
 
+    @staticmethod
+    def trips(n):
+        """Every trip short of all rows for n <= 6; for larger n, trips at
+        the low end, the middle and the high end of the rows, and spread out."""
+        if n <= 6:
+            for size in range(n):
+                yield from itertools.combinations(range(n), size)
+            return
+        mid = n // 2
+        yield from ([0], [0, 1, 2, 3], [mid - 2, mid, mid + 1], [n - 1], [n - 4, n - 3, n - 1],
+                    [0, mid, n - 1], list(range(0, n, 3)), list(range(n - 1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 40, 2000])
+    def test_same_rows_and_state_as_choice(self, n):
+        # the rows of rng.choice over the rows outside the trip, drawn by the
+        # same generator calls
+        for inside in self.trips(n):
+            eligible = sorted(set(range(n)) - set(inside))
+            for seed, k in ((0, 1), (1, 5), (2, 12)):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert sample_negatives(list(inside), n, k, rng) == \
+                    ref.choice(eligible, size=k, replace=True).tolist()
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 class TestTrain:
     def test_zero_epochs_returns_init(self, clique_corpus):
@@ -318,10 +346,12 @@ class TestTrain:
         assert within > across
 
     def test_observations(self):
-        trip = make_trip("u1", ["a", "b", "c"])
-        obs = observations_from_trip(trip)
+        trip = make_trip("u1", ["c", "a", "b"])
+        obs = compile_observations([trip], ["a", "b", "c", "d"], ["u0", "u1"])
         assert len(obs) == 3
-        assert obs[0].target == "a" and obs[0].context == frozenset({"b", "c"})
+        assert [(user, inside, target) for user, inside, target, _ in obs] == \
+            [(1, [0, 1, 2], 2), (1, [0, 1, 2], 0), (1, [0, 1, 2], 1)]
+        assert [context.tolist() for *_, context in obs] == [[0, 1], [1, 2], [0, 2]]
 
 
 def clique_similarity(model, cliques):
@@ -376,6 +406,20 @@ class TestModelFile:
             assert np.array_equal(loaded.user_vec[u], m.user_vec[u])
         assert loaded.zpair == 123.456
 
+    def test_first_bad_vector_named(self):
+        def model(vectors):
+            return EmbeddingModel(2, dict(vectors), {p: 0.0 for p in vectors}, {})
+        good = np.zeros(2)
+        with pytest.raises(ValueError, match="non-finite vector for p2"):
+            model({"p1": good, "p2": np.array([0.0, np.nan]), "p3": np.zeros(3)})
+        with pytest.raises(ValueError, match="vector for p2 has shape"):
+            model({"p1": good, "p2": np.zeros(3), "p3": np.array([np.inf, 0.0])})
+        with pytest.raises(ValueError, match="non-finite vector for p3"):
+            model({"p1": good, "p2": good, "p3": np.array([np.inf, 0.0]),
+                   "p4": np.array([np.nan, 0.0])})
+        with pytest.raises(ValueError, match="non-finite vector for u1"):
+            EmbeddingModel(2, {"p1": good}, {"p1": 0.0}, {"u1": np.array([np.nan, 1.0])})
+
     def test_header_mismatch(self):
         with pytest.raises(ValueError):
             EmbeddingModel.load(io.StringIO("WRONG v1 d=2 pois=0 users=0\n"))
@@ -400,7 +444,7 @@ class TestAblationModes:
         cfg = TrainConfig(dim=2, learning_rate=0.01, mode="pop+pref")
         obs_ctx = Observation("u1", frozenset({"p1", "p3"}), "p1", frozenset({"p3"}))
         obs_no = Observation("u1", frozenset({"p1"}), "p1", frozenset())
-        sgd_step(m1, obs_ctx, "p2", cfg)
-        sgd_step(m2, obs_no, "p2", cfg)
+        array_step(m1, obs_ctx, "p2", cfg)
+        array_step(m2, obs_no, "p2", cfg)
         for p in m1.poi_vec:
             assert np.allclose(m1.poi_vec[p], m2.poi_vec[p], atol=1e-15)

@@ -1,12 +1,16 @@
-"""The ALNS build and 2-opt layers against their rescanning references in
-`oracles.py`: the same lists, the same floats and the same RNG draws."""
+"""The ALNS build and 2-opt layers, and the BPR trainer, against their
+references in `oracles.py`: the same lists, the same floats, the same RNG
+draws and the same model files."""
+
+import io
 
 import numpy as np
 import pytest
 
 import tripkit.alns as alns
+from tripkit.embedding import TrainConfig, train
 from tripkit.graph import PoiGraph
-from conftest import random_graph
+from conftest import make_trip, random_graph
 from test_acceptance import embedding_instance
 import oracles
 
@@ -160,3 +164,54 @@ def test_run_alns_same_trace(name, graph, model, references):
     ref = alns.run_alns(graph, config, model, collect_trace=True)
     assert (new.trip, new.score) == (ref.trip, ref.score)
     assert new.trace == ref.trace
+
+
+# --- the trainer ----------------------------------------------------------------
+
+
+def random_corpus(seed: int, n_pois: int, n_trips: int, lengths: tuple[int, int],
+                  n_users: int) -> list:
+    rng = np.random.default_rng(seed)
+    pois = [f"p{i:04d}" for i in range(n_pois)]
+    return [make_trip(f"u{int(rng.integers(n_users))}",
+                      [pois[i] for i in rng.choice(n_pois, int(rng.integers(*lengths)),
+                                                    replace=False)],
+                      start=t * 10**6)
+            for t in range(n_trips)]
+
+
+# 1,200 POIs, of which each trip covers 3-8; and 60 POIs in trips of 12-20
+WIDE = random_corpus(11, 1200, 200, (3, 9), 40)
+LONG = random_corpus(12, 60, 30, (12, 21), 8)
+MODES = ("full", "pop+pref", "pop-only")
+TRAIN_CASES = (
+    [("wide", WIDE, TrainConfig(dim=13, max_iterations=1, mode=mode)) for mode in MODES]
+    + [("long", LONG, TrainConfig(dim=8, max_iterations=2, mode=mode, shuffle=shuffle,
+                                  corrected_reg=corrected, learning_rate=0.05))
+       for mode in MODES for shuffle in (False, True) for corrected in (False, True)]
+    + [("long", LONG, TrainConfig(dim=dim, max_iterations=2, mode=mode, shuffle=True,
+                                  corrected_reg=True, learning_rate=0.05))
+       for mode in MODES for dim in (1, 2, 13)])
+
+
+def model_file(model) -> str:
+    buf = io.StringIO()
+    model.save(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "corpus,config", [case[1:] for case in TRAIN_CASES],
+    ids=[f"{name}-{c.mode}-d{c.dim}-shuffle{int(c.shuffle)}-corrected{int(c.corrected_reg)}"
+         for name, _, c in TRAIN_CASES])
+def test_train_writes_the_reference_model_file(corpus, config):
+    assert model_file(train(corpus, config)) == model_file(oracles.train_reference(corpus, config))
+
+
+def test_trip_covering_every_poi_fails_when_sampled():
+    trips = [make_trip("u1", ["a", "b"]), make_trip("u2", ["b", "c", "a"], start=10**6)]
+    config = TrainConfig(dim=2, max_iterations=0)
+    assert model_file(train(trips, config)) == model_file(oracles.train_reference(trips, config))
+    for trainer in (train, oracles.train_reference):
+        with pytest.raises(ValueError, match="trip covers every POI"):
+            trainer(trips, TrainConfig(dim=2, max_iterations=1))
