@@ -98,23 +98,14 @@ def removal_count(trip_len: int, fraction: float) -> int:
     return math.ceil(fraction * max(trip_len - 2, 0))
 
 
-Leg = tuple[int, int, float]  # (a, b, cost[a][b]) for consecutive trip vertices a, b
-
-
-def trip_legs(graph: PoiGraph, trip: Sequence[int]) -> list[Leg]:
-    cost = graph.cost
-    return [(a, b, cost[a][b]) for a, b in zip(trip, trip[1:])]
-
-
-def cheapest_insertion(graph: PoiGraph, legs: Sequence[Leg], v: int) -> tuple[int, float]:
+def cheapest_insertion(graph: PoiGraph, trip: Sequence[int], v: int) -> tuple[int, float]:
     """The first position (1 = between the trip's first two vertices) with the
-    least cost delta of inserting v, over the trip's `trip_legs`."""
-    into_v, out_v = graph.cost_in[v], graph.cost[v]
+    least cost delta of inserting v."""
+    cost, into_v, out_v = graph.cost, graph.cost_in[v], graph.cost[v]
     best_pos, best_delta = 1, math.inf
-    pos = 0
-    for a, b, cost_ab in legs:
-        pos += 1
-        delta = into_v[a] + out_v[b] - cost_ab
+    for pos in range(1, len(trip)):
+        a, b = trip[pos - 1], trip[pos]
+        delta = into_v[a] + out_v[b] - cost[a][b]
         if delta < best_delta:
             best_pos, best_delta = pos, delta
     return best_pos, best_delta
@@ -140,32 +131,55 @@ def randomized_index(count: int, randomness: float, fraction: float,
 Option = tuple[int, int, float]  # (vertex, position, cost delta)
 
 
+def after_insert(graph: PoiGraph, best: dict[int, tuple[int, float]],
+                 trip: Sequence[int], pos: int) -> dict[int, tuple[int, float]]:
+    """Each vertex's cheapest insertion (pos, delta) in `trip`, carried from
+    `best`, its cheapest insertion before `trip[pos]` was inserted. Pos 0 means
+    that delta is only a lower bound, and the vertex needs a rescan.
+
+    Inserting v at pos replaces edge pos by the edges pos and pos + 1 and
+    shifts the later edges by one. A vertex whose best edge survived takes the
+    least (delta, pos) of it and the two new edges, the first minimum that a
+    full scan would find. For a vertex whose best edge was replaced or is
+    unknown, every surviving edge costs at least its old delta: a new edge
+    strictly below that is its first minimum, else the old delta stays a
+    lower bound."""
+    edge_cost, cost_in = graph.cost, graph.cost_in
+    a, v, b = trip[pos - 1], trip[pos], trip[pos + 1]
+    cost_av, cost_vb = edge_cost[a][v], edge_cost[v][b]
+    carried = {}
+    for w, (w_pos, w_delta) in best.items():
+        into_w, out_w = cost_in[w], edge_cost[w]
+        new_pos, new_delta = pos, into_w[a] + out_w[v] - cost_av
+        delta_vb = into_w[v] + out_w[b] - cost_vb
+        if delta_vb < new_delta:
+            new_pos, new_delta = pos + 1, delta_vb
+        if w_pos == 0 or w_pos == pos:
+            carried[w] = (new_pos, new_delta) if new_delta < w_delta else (0, w_delta)
+        elif w_delta < new_delta or (w_delta == new_delta and w_pos < pos):
+            carried[w] = (w_pos + (w_pos > pos), w_delta)
+        else:
+            carried[w] = (new_pos, new_delta)
+    return carried
+
+
 def greedy_extend(graph: PoiGraph, trip: Sequence[int],
                   choose: Callable[[list[int], list[Option]], Option | None]) -> list[int]:
     """The one loop that inserts vertices, each at its cheapest position,
     under the budget. While some interior vertex is unvisited, `choose` sees
     the current trip and the options that fit (possibly none) and returns one
-    of them, or None to stop.
-
-    Each unvisited vertex's cheapest insertion is carried from one step to the
-    next: inserting v at pos replaces edge pos by the edges pos and pos + 1 and
-    shifts the later edges by one, so a vertex whose best edge survived takes
-    the least (delta, pos) of it and the two new edges, the first minimum that
-    a full scan would find. A vertex whose best edge was replaced keeps only a
-    lower bound on its delta (pos 0), and is rescanned once that bound fits."""
+    of them, or None to stop. Each unvisited vertex's cheapest insertion is
+    carried by `after_insert`, and rescanned only when its lower bound fits."""
     trip = list(trip)
-    used = set(trip)
     cost = graph.trip_cost(trip)
-    edge_cost, cost_in = graph.cost, graph.cost_in
-    legs = trip_legs(graph, trip)
     # unvisited vertex -> (pos, delta) of its cheapest insertion, in ascending order
-    best = {v: cheapest_insertion(graph, legs, v) for v in graph.interior() if v not in used}
-    while len(used) < graph.n:
+    best = {v: cheapest_insertion(graph, trip, v) for v in graph.interior() if v not in trip}
+    while best:
         options = []
         for w, (pos, delta) in best.items():
             if within_budget(cost + delta, graph.budget):
                 if pos == 0:
-                    pos, delta = best[w] = cheapest_insertion(graph, legs, w)
+                    pos, delta = best[w] = cheapest_insertion(graph, trip, w)
                     if not within_budget(cost + delta, graph.budget):
                         continue
                 options.append((w, pos, delta))
@@ -174,24 +188,9 @@ def greedy_extend(graph: PoiGraph, trip: Sequence[int],
             break
         v, pos, delta = picked
         trip.insert(pos, v)
-        used.add(v)
         cost += delta
         del best[v]
-        a, b = trip[pos - 1], trip[pos + 1]
-        cost_av, cost_vb = edge_cost[a][v], edge_cost[v][b]
-        legs[pos - 1:pos] = [(a, v, cost_av), (v, b, cost_vb)]
-        for w, (w_pos, w_delta) in best.items():
-            into_w, out_w = cost_in[w], edge_cost[w]
-            new_pos, new_delta = pos, into_w[a] + out_w[v] - cost_av
-            delta_vb = into_w[v] + out_w[b] - cost_vb
-            if delta_vb < new_delta:
-                new_pos, new_delta = pos + 1, delta_vb
-            if w_pos == 0 or w_pos == pos:
-                best[w] = (0, min(w_delta, new_delta))
-            elif w_delta < new_delta or (w_delta == new_delta and w_pos < pos):
-                best[w] = (w_pos + (w_pos > pos), w_delta)
-            else:
-                best[w] = (new_pos, new_delta)
+        best = after_insert(graph, best, trip, pos)
     return trip
 
 
@@ -215,29 +214,21 @@ def _choose_best_ratio(graph: PoiGraph):
 def _choose_highest_potential(graph: PoiGraph):
     """The option with the most profit from itself plus the best second
     vertex that still fits after it; the most profit alone if no pair fits."""
-    edge_cost, cost_in = graph.cost, graph.cost_in
-
     def choose(cur, opts):
         if not opts:
             return None
         cost = graph.trip_cost(cur)
         best = None
+        insertions = {w: (w_pos, w_delta) for w, w_pos, w_delta in opts}
         for v, pos, delta in opts:
             gain_v = graph.gain(v, cur[1:-1])
             candidate = list(cur)
             candidate.insert(pos, v)
-            a, b = cur[pos - 1], cur[pos]
-            cost_av, cost_vb = edge_cost[a][v], edge_cost[v][b]
-            for w, w_pos, w_delta in opts:
+            for w, (w_pos, delta_w) in after_insert(graph, insertions, candidate, pos).items():
                 if w == v:
                     continue
-                # w's least delta after v: its old best or one of the two new
-                # edges, unless its old best edge is the one v replaced
-                into_w, out_w = cost_in[w], edge_cost[w]
-                delta_w = min(w_delta, into_w[a] + out_w[v] - cost_av,
-                              into_w[v] + out_w[b] - cost_vb)
-                if w_pos == pos and delta_w == w_delta:
-                    _, delta_w = cheapest_insertion(graph, trip_legs(graph, candidate), w)
+                if w_pos == 0:
+                    _, delta_w = cheapest_insertion(graph, candidate, w)
                 if not within_budget(cost + delta + delta_w, graph.budget):
                     continue
                 pair_gain = gain_v + graph.gain(w, candidate[1:-1])
@@ -309,7 +300,7 @@ def destroy(graph: PoiGraph, trip: Sequence[int], operator: str,
 class _PivotDistances(dict):
     """pivot -> {interior vertex: distance from the pivot}, filled on first
     use: the embedding distance under a model, else the outgoing edge cost.
-    run_alns keeps one for its whole call and hands it to `build` as the model."""
+    run_alns keeps one for its whole call and hands it to `build`."""
 
     def __init__(self, graph: PoiGraph, model: EmbeddingModel | None):
         super().__init__()
@@ -329,11 +320,11 @@ class _PivotDistances(dict):
 
 def build(graph: PoiGraph, trip: Sequence[int], operator: str,
           rng: np.random.Generator,
-          model: EmbeddingModel | _PivotDistances | None = None) -> list[int]:
+          similarity: _PivotDistances | None = None) -> list[int]:
     """Insert unvisited vertices (cheapest position each) per the operator's
     rule until no single insertion fits. `most_similarity` orders them by
-    distance from a random pivot of the trip, measured in `model`'s embedding
-    if given, else by edge cost."""
+    their `similarity` distance from a random pivot of the trip, by edge cost
+    if None."""
     trip = list(trip)
     if operator == "most_profit":
         return greedy_extend(graph, trip, _choose_most_profit(graph))
@@ -341,8 +332,8 @@ def build(graph: PoiGraph, trip: Sequence[int], operator: str,
         return greedy_extend(graph, trip, _choose_least_cost(graph))
     if operator == "most_similarity":
         pivot = trip[int(rng.integers(len(trip)))]
-        similarity = model if isinstance(model, _PivotDistances) else \
-            _PivotDistances(graph, model)
+        if similarity is None:
+            similarity = _PivotDistances(graph, None)
         dist = similarity[pivot]
         return greedy_extend(graph, trip, lambda cur, opts: min(
             opts, key=lambda o: (dist[o[0]], o[0]), default=None))

@@ -257,20 +257,31 @@ def compute_visit_times(trips: Sequence[Trip]) -> dict[str, float]:
 
 
 def load_distance_matrix(rows: Iterable[str] | io.TextIOBase) -> dict[tuple[str, str], float]:
-    """Parse a CSV distance matrix (header row/column of poi_ids, km entries);
-    its diagonal and asymmetry may be off zero by at most 1e-6 km."""
+    """Parse a CSV distance matrix (header row/column of poi_ids, one row per
+    header POI, km entries); its diagonal and asymmetry may be off zero by at most 1e-6 km."""
     reader = csv.reader(rows)
     table = [row for row in reader if row]
     if len(table) < 2:
         raise CheckinError("distance matrix needs a header row and at least one POI row")
     ids = [c.strip() for c in table[0][1:]]
     matrix: dict[tuple[str, str], float] = {}
+    header, seen = set(ids), set()
+    if len(header) != len(ids):
+        raise CheckinError(f"distance header repeats {next(a for a in ids if ids.count(a) > 1)}")
     for row in table[1:]:
         rid = row[0].strip()
+        if rid in seen:
+            raise CheckinError(f"distance row {rid} appears twice")
+        if rid not in header:
+            raise CheckinError(f"distance row {rid} is not in the header")
+        seen.add(rid)
         if len(row) - 1 != len(ids):
             raise CheckinError(f"distance row {rid} has {len(row) - 1} entries, expected {len(ids)}")
         for cid, cell in zip(ids, row[1:]):
             matrix[(rid, cid)] = float(cell)
+    missing = [a for a in ids if a not in seen]
+    if missing:
+        raise CheckinError(f"distance matrix has no row for {missing[0]}")
     for a in ids:
         if abs(matrix[(a, a)]) > 1e-6:
             raise CheckinError(f"distance matrix diagonal not zero at {a}")

@@ -10,7 +10,7 @@ from pathlib import Path
 from . import __version__
 from .alns import AlnsConfig, run_alns, write_trace_csv
 from .checkins import (DEFAULT_TRIP_WINDOW, DEFAULT_WALKING_SPEED, CheckinError,
-                       TimeCostModel, Trip, PoiVisit, UnknownPoiError, aggregate_visits,
+                       Poi, PoiVisit, TimeCostModel, Trip, UnknownPoiError, aggregate_visits,
                        compute_visit_times, corpus_stats, extract_trips, impacted_user_ratio,
                        independent_pair_ratio, ingest_checkins, load_distance_matrix, load_pois)
 from .embedding import EmbeddingModel, TrainConfig, train
@@ -80,7 +80,6 @@ def save_corpus(path: str, trips: list[Trip], pois: dict | None = None):
 
 
 def load_corpus(path: str):
-    from .checkins import Poi
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -180,14 +179,13 @@ def _query_graph(args, model, trips, pois):
     query = Query(args.user, args.start, args.end, args.budget)
     ctx = ScoreContext(model, query)
     candidates = reachable_candidates(query, tcm, model.poi_ids)
-    graph = build_graph(ctx, query, tcm, candidates)
-    return query, ctx, graph
+    return build_graph(ctx, query, tcm, candidates)
 
 
 def cmd_recommend(args) -> int:
     trips, pois = load_corpus(args.corpus)
     model = _load_model(args.model)
-    query, ctx, graph = _query_graph(args, model, trips, pois)
+    graph = _query_graph(args, model, trips, pois)
     direct = [graph.start, graph.end]
     if not graph.feasible(direct).ok:
         raise CliError("no feasible trip", EXIT_INFEASIBLE)
@@ -238,7 +236,7 @@ def cmd_evaluate(args) -> int:
 def cmd_export_lp(args) -> int:
     trips, pois = load_corpus(args.corpus)
     model = _load_model(args.model)
-    query, ctx, graph = _query_graph(args, model, trips, pois)
+    graph = _query_graph(args, model, trips, pois)
     ilp = build_ilp(graph)
     with open(args.out, "w") as fh:
         write_lp(ilp, fh)

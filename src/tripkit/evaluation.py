@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .alns import AlnsConfig, greedy_extend, run_alns
 from .checkins import TimeCostModel, Trip, compute_visit_times
-from .embedding import EmbeddingModel, TrainConfig, train
+from .embedding import TrainConfig, train
 from .exact import solve_exact
 from .graph import PoiGraph, build_graph, reachable_candidates
 from .scoring import Query, ScoreContext
@@ -141,29 +141,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-# (graph, model, rng, visit counts of the training trips) -> trip
-SolverFn = Callable[[PoiGraph, EmbeddingModel, np.random.Generator, dict[str, int]],
-                    Sequence[int]]
-
-
-def make_solvers(alns_config: AlnsConfig) -> dict[str, SolverFn]:
-    def random_solver(graph, model, rng, counts):
-        return baseline_random(graph, rng)
-
-    def pop_solver(graph, model, rng, counts):
-        return baseline_pop(graph, counts)
-
-    def alns_solver(graph, model, rng, counts):
-        return run_alns(graph, alns_config, model).trip
-
-    def exact_solver(graph, model, rng, counts):
-        result = solve_exact(graph)
-        if result is None:
-            raise ValueError("no feasible trip")
-        return result.trip
-
-    return {"random": random_solver, "pop": pop_solver,
-            "alns": alns_solver, "exact": exact_solver}
+SOLVERS = ("random", "pop", "alns", "exact")
 
 
 def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
@@ -177,11 +155,11 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
     unknown solver name raises ValueError before any training."""
     if not solvers:
         raise ValueError("no solvers given")
-    solver_fns = make_solvers(alns_config or AlnsConfig())
-    unknown = [name for name in solvers if name not in solver_fns]
+    unknown = [name for name in solvers if name not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown solver(s): {', '.join(unknown)}")
     train_config = train_config or TrainConfig()
+    alns_config = alns_config or AlnsConfig()
     folds = make_folds(trips, pois=pois)
     report = EvalReport()
     cached_model = train(trips, train_config) if shared_model else None
@@ -198,7 +176,17 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
             graph = build_graph(ctx, fold.query, tcm, candidates)
             for name in solvers:
                 t0 = time.perf_counter()
-                trip_idx = solver_fns[name](graph, model, rng, counts)
+                if name == "random":
+                    trip_idx = baseline_random(graph, rng)
+                elif name == "pop":
+                    trip_idx = baseline_pop(graph, counts)
+                elif name == "alns":
+                    trip_idx = run_alns(graph, alns_config, model).trip
+                else:
+                    result = solve_exact(graph)
+                    if result is None:
+                        raise ValueError("no feasible trip")
+                    trip_idx = result.trip
                 ms = (time.perf_counter() - t0) * 1000.0
                 trip_pois = [graph.poi_ids[v] for v in trip_idx]
                 m = metrics(trip_pois, list(fold.test_trip.poi_ids))

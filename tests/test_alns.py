@@ -10,7 +10,7 @@ from tripkit.alns import (BUILD_OPS, DESTROY_OPS, AlnsConfig, SolutionPool,
                           local_search, randomized_index,
                           removal_cost_delta, removal_count,
                           removal_profit_delta, roulette_select, run_alns,
-                          sa_accept, trip_legs, update_weight, write_trace_csv)
+                          sa_accept, update_weight, write_trace_csv)
 from tripkit.exact import enumerate_all
 from tripkit.graph import PoiGraph
 from conftest import random_graph
@@ -121,7 +121,7 @@ class TestRemovalHelpers:
     def test_cheapest_insertion_scans_all_gaps(self):
         g = random_graph(1, n=6)
         trip = [0, 1, 2, 5]
-        pos, delta = cheapest_insertion(g, trip_legs(g, trip), 3)
+        pos, delta = cheapest_insertion(g, trip, 3)
         deltas = [insertion_cost(g, trip, 3, p) for p in range(1, len(trip))]
         assert delta == pytest.approx(min(deltas))
         assert pos == deltas.index(min(deltas)) + 1
@@ -232,7 +232,7 @@ class TestBuild:
         cost = g.trip_cost(out)
         for v in g.interior():
             if v not in set(out):
-                _, delta = cheapest_insertion(g, trip_legs(g, out), v)
+                _, delta = cheapest_insertion(g, out, v)
                 assert cost + delta > g.budget
 
     def test_most_profit_first_pick(self):
@@ -244,7 +244,7 @@ class TestBuild:
     def test_least_cost_first_pick(self):
         g = random_graph(15, n=7)
         out = build(g, [0, 6], "least_cost", np.random.default_rng(3))
-        deltas = {v: cheapest_insertion(g, trip_legs(g, [0, 6]), v)[1] for v in g.interior()}
+        deltas = {v: cheapest_insertion(g, [0, 6], v)[1] for v in g.interior()}
         assert out[1] == min(deltas, key=lambda v: (deltas[v], v)) or len(out) == 2
 
     def test_unknown_operator(self):

@@ -179,6 +179,17 @@ class TestTimeCostModel:
         with pytest.raises(CheckinError, match="symmetric"):
             load_distance_matrix(io.StringIO(bad))
 
+    @pytest.mark.parametrize("text,message", [
+        ("id,a,b\na,0,2\n", "no row for b"),
+        ("id,a,b\nb,2,0\n", "no row for a"),
+        ("id,a,b\na,0,2\nb,2,0\nc,1,1\n", "row c is not in the header"),
+        ("id,a,b\na,0,2\na,0,2\nb,2,0\n", "row a appears twice"),
+        ("id,a,a,b\na,0,0,2\nb,2,2,0\n", "header repeats a"),
+    ], ids=["missing-last", "missing-first", "foreign", "duplicate", "duplicate-column"])
+    def test_distance_matrix_rows_are_the_header_ids(self, text, message):
+        with pytest.raises(CheckinError, match=message):
+            load_distance_matrix(io.StringIO(text))
+
 
 def _poi(pid, lat, lon):
     from tripkit.checkins import Poi

@@ -263,6 +263,12 @@ class TestRecommend:
         assert "missing from distance matrix" in err
         assert err.startswith("error: POI pair (")
 
+    def test_distances_missing_row(self, workspace, tmp_path, capsys):
+        path = write_distances(tmp_path, [f"p{i}" for i in range(8)])
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        assert main(["recommend", *query_flags(workspace), "--distances", str(path)]) == 2
+        assert capsys.readouterr().err == "error: distance matrix has no row for p7\n"
+
     def test_distances_breaking_triangle_inequality(self, workspace, tmp_path, capsys):
         # dropping a stop can make a trip dearer, so ALNS may destroy a trip
         # into one over the budget

@@ -86,8 +86,31 @@ def test_cheapest_insertion(name, graph, model):
         trip = random_trip(graph, rng)
         for v in graph.interior():
             if v not in trip:
-                assert alns.cheapest_insertion(graph, alns.trip_legs(graph, trip), v) == \
+                assert alns.cheapest_insertion(graph, trip, v) == \
                     oracles.cheapest_insertion(graph, trip, v)
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_after_insert(name, graph, model):
+    # insert random vertices at random positions and carry the insertions over
+    # each, never rescanning, so that lower bounds (pos 0) are carried too
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        trip = random_trip(graph, rng)
+        best = {v: oracles.cheapest_insertion(graph, trip, v)
+                for v in graph.interior() if v not in trip}
+        while best:
+            v = list(best)[int(rng.integers(len(best)))]
+            pos = int(rng.integers(1, len(trip)))
+            trip.insert(pos, v)
+            del best[v]
+            best = alns.after_insert(graph, best, trip, pos)
+            for w, (w_pos, w_delta) in best.items():
+                exact = oracles.cheapest_insertion(graph, trip, w)
+                if w_pos == 0:
+                    assert w_delta <= exact[1]
+                else:
+                    assert (w_pos, w_delta) == exact
 
 
 @pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
@@ -127,12 +150,39 @@ def test_build_operators(name, graph, model, references):
         results = []
         for partial, op, seed in runs:
             op_rng = np.random.default_rng(seed)
-            results.append((alns.build(graph, partial, op, op_rng, model), op_rng.random()))
+            similarity = alns._PivotDistances(graph, model)
+            results.append((alns.build(graph, partial, op, op_rng, similarity), op_rng.random()))
         return results
 
     new = outputs()
     references()
     assert new == outputs()
+
+
+def test_references_reach_build_and_run_alns(monkeypatch, references):
+    # a refactor that stops looking these names up through the module would
+    # make the tests above compare the new code with itself
+    calls = dict.fromkeys(("greedy_extend", "choose_highest_potential", "local_search",
+                           "FreshPivotDistances"), 0)
+
+    def counting(name, reference):
+        def wrapper(*args):
+            calls[name] += 1
+            return reference(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracles, name, counting(name, getattr(oracles, name)))
+    references()
+    graph = random_graph(7, 8)
+    direct = [graph.start, graph.end]
+    alns.build(graph, direct, "highest_potential", np.random.default_rng(0))
+    assert calls == {"greedy_extend": 1, "choose_highest_potential": 1,
+                     "local_search": 0, "FreshPivotDistances": 0}
+    alns.build(graph, direct, "most_similarity", np.random.default_rng(0))
+    assert calls["greedy_extend"] == 2 and calls["FreshPivotDistances"] == 1
+    alns.run_alns(graph, alns.AlnsConfig(runs=1, iterations=3))
+    assert calls["local_search"] == 3 and calls["FreshPivotDistances"] == 2
 
 
 @pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
