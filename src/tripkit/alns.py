@@ -212,16 +212,16 @@ def _choose_best_ratio(graph: PoiGraph):
 
 
 def _choose_highest_potential(graph: PoiGraph):
-    """The option with the most profit from itself plus the best second
-    vertex that still fits after it; the most profit alone if no pair fits."""
+    """The option with the most profit, summed symmetrically, from itself plus the
+    best second vertex that still fits after it; the most profit alone if no pair fits."""
     def choose(cur, opts):
         if not opts:
             return None
         cost = graph.trip_cost(cur)
         best = None
         insertions = {w: (w_pos, w_delta) for w, w_pos, w_delta in opts}
+        gains = {w: graph.gain(w, cur[1:-1]) for w in insertions}
         for v, pos, delta in opts:
-            gain_v = graph.gain(v, cur[1:-1])
             candidate = list(cur)
             candidate.insert(pos, v)
             for w, (w_pos, delta_w) in after_insert(graph, insertions, candidate, pos).items():
@@ -231,14 +231,13 @@ def _choose_highest_potential(graph: PoiGraph):
                     _, delta_w = cheapest_insertion(graph, candidate, w)
                 if not within_budget(cost + delta + delta_w, graph.budget):
                     continue
-                pair_gain = gain_v + graph.gain(w, candidate[1:-1])
-                key = (pair_gain, -v)
+                key = (gains[v] + gains[w] + graph.eprofit[v][w], -v)
                 if best is None or key > best[0]:
                     best = (key, (v, pos, delta))
         if best is not None:
             return best[1]
         # no feasible pair: fall back to the single best profit insertion
-        return max(opts, key=lambda o: (graph.gain(o[0], cur[1:-1]), -o[0]))
+        return max(opts, key=lambda o: (gains[o[0]], -o[0]))
     return choose
 
 

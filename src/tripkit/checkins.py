@@ -258,7 +258,7 @@ def compute_visit_times(trips: Sequence[Trip]) -> dict[str, float]:
 
 def load_distance_matrix(rows: Iterable[str] | io.TextIOBase) -> dict[tuple[str, str], float]:
     """Parse a CSV distance matrix (header row/column of poi_ids, one row per
-    header POI, km entries); its diagonal and asymmetry may be off zero by at most 1e-6 km."""
+    header POI, finite km >= 0); diagonal and asymmetry may be off zero by at most 1e-6 km."""
     reader = csv.reader(rows)
     table = [row for row in reader if row]
     if len(table) < 2:
@@ -278,7 +278,9 @@ def load_distance_matrix(rows: Iterable[str] | io.TextIOBase) -> dict[tuple[str,
         if len(row) - 1 != len(ids):
             raise CheckinError(f"distance row {rid} has {len(row) - 1} entries, expected {len(ids)}")
         for cid, cell in zip(ids, row[1:]):
-            matrix[(rid, cid)] = float(cell)
+            km = matrix[(rid, cid)] = float(cell)
+            if not 0.0 <= km < math.inf:
+                raise CheckinError(f"distance ({rid}, {cid}) must be finite and >= 0 km, not {km}")
     missing = [a for a in ids if a not in seen]
     if missing:
         raise CheckinError(f"distance matrix has no row for {missing[0]}")

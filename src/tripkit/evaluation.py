@@ -169,11 +169,11 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
             training = fold.training if not shared_model else trips
             model = cached_model or train(list(fold.training), train_config)
             counts = visit_count_by_poi(list(training))
-            visit_times = compute_visit_times(list(training))
-            tcm = TimeCostModel(visit_times, pois=pois or {})
+            tcm = TimeCostModel(compute_visit_times(list(training)), pois=pois or {})
             ctx = ScoreContext(model, fold.query)  # a shared model keeps its first fold's z_pair
             candidates = reachable_candidates(fold.query, tcm, model.poi_ids)
             graph = build_graph(ctx, fold.query, tcm, candidates)
+            rows = []  # kept only if every solver completes the fold
             for name in solvers:
                 t0 = time.perf_counter()
                 if name == "random":
@@ -188,13 +188,14 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
                         raise ValueError("no feasible trip")
                     trip_idx = result.trip
                 ms = (time.perf_counter() - t0) * 1000.0
-                trip_pois = [graph.poi_ids[v] for v in trip_idx]
-                m = metrics(trip_pois, list(fold.test_trip.poi_ids))
-                report.rows.append({"fold_id": fold_id, "solver": name,
-                                    "recall": m.recall, "precision": m.precision,
-                                    "f1": m.f1, "recall_s": m.recall_s,
-                                    "precision_s": m.precision_s, "f1_s": m.f1_s,
-                                    "ms": ms})
+                verdict = graph.feasible(trip_idx)
+                if not verdict.ok:
+                    raise ValueError(f"{name} returned an infeasible trip: {verdict.reason}")
+                m = metrics([graph.poi_ids[v] for v in trip_idx], list(fold.test_trip.poi_ids))
+                rows.append({"fold_id": fold_id, "solver": name, "recall": m.recall,
+                             "precision": m.precision, "f1": m.f1, "recall_s": m.recall_s,
+                             "precision_s": m.precision_s, "f1_s": m.f1_s, "ms": ms})
+            report.rows.extend(rows)
         except Exception as exc:  # noqa: BLE001 - fold errors are reported, not fatal
             report.errors.append({"fold_id": fold_id, "error": str(exc)})
     return report

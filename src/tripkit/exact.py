@@ -204,10 +204,7 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
                     remaining: list[int], budget_left: float) -> float:
         if not remaining:
             return cur_obj
-        if min_edge > 0:
-            m = min(len(remaining), int(budget_left // min_edge))
-        else:
-            m = len(remaining)
+        m = min(len(remaining), int(budget_left // min_edge)) if min_edge > 0 else len(remaining)
         if m <= 0:
             return cur_obj
         vps = sorted((vprofit[r] for r in remaining), reverse=True)[:m]
@@ -247,4 +244,4 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
     dfs(start, [], set(), graph.start_visit_cost, 0.0)
     if best_trip is None:
         return None
-    return SolveResult(best_trip, best_obj, nodes)
+    return SolveResult(best_trip, graph.trip_objective(best_trip), nodes)

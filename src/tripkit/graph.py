@@ -19,9 +19,9 @@ def within_budget(cost: float, budget: float) -> bool:
 
 def better(obj: float, trip: list[int], best_obj: float,
            best_trip: list[int] | None) -> bool:
-    """The one tie rule between two trips. Two orders of one stop set sum
-    their objective differently (by a few ulps), so objectives within a
-    relative 1e-12 tie, and a tie goes to the lexicographically smaller trip;
+    """The one tie rule between two trips. B&B sums objectives in path order,
+    so two orders of one stop set can differ by a few ulps: objectives within
+    a relative 1e-12 tie, and a tie goes to the lexicographically smaller trip;
     otherwise the higher objective wins. Anything beats no trip."""
     if best_trip is None:
         return True
@@ -86,8 +86,9 @@ class PoiGraph:
         return self.vprofit[v] + sum(row[u] for u in interior)
 
     def trip_objective(self, trip: Sequence[int]) -> float:
-        """Interior vertex profits plus unordered interior-pair edge profits."""
-        interior = list(trip[1:-1])
+        """Interior vertex profits plus unordered interior-pair edge profits, summed
+        in ascending vertex order, so every order of one stop set has the same bits."""
+        interior = sorted(trip[1:-1])
         total = sum(self.vprofit[v] for v in interior)
         for i in range(len(interior)):
             for j in range(i + 1, len(interior)):

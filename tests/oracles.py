@@ -88,7 +88,7 @@ def choose_highest_potential(graph: PoiGraph):
                 _, delta_w = cheapest_insertion(graph, candidate, w)
                 if not within_budget(cost + delta + delta_w, graph.budget):
                     continue
-                pair_gain = gain_v + graph.gain(w, candidate[1:-1])
+                pair_gain = gain_v + graph.gain(w, cur[1:-1]) + graph.eprofit[v][w]
                 key = (pair_gain, -v)
                 if best is None or key > best[0]:
                     best = (key, (v, pos, delta))

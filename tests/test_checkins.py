@@ -190,6 +190,15 @@ class TestTimeCostModel:
         with pytest.raises(CheckinError, match=message):
             load_distance_matrix(io.StringIO(text))
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "-5", "-1e-9"])
+    @pytest.mark.parametrize("row,col", [("a", "b"), ("b", "a"), ("a", "a")])
+    def test_distance_entries_finite_and_nonnegative(self, cell, row, col):
+        table = {("a", "a"): "0", ("a", "b"): "2", ("b", "a"): "2", ("b", "b"): "0"}
+        table[(row, col)] = cell
+        text = "id,a,b\n" + "".join(f"{r},{table[(r, 'a')]},{table[(r, 'b')]}\n" for r in "ab")
+        with pytest.raises(CheckinError, match=rf"distance \({row}, {col}\) must be finite"):
+            load_distance_matrix(io.StringIO(text))
+
 
 def _poi(pid, lat, lon):
     from tripkit.checkins import Poi

@@ -269,6 +269,33 @@ class TestRecommend:
         assert main(["recommend", *query_flags(workspace), "--distances", str(path)]) == 2
         assert capsys.readouterr().err == "error: distance matrix has no row for p7\n"
 
+    @pytest.mark.parametrize("km", ["nan", "inf", "-inf", "-5"])
+    def test_distances_not_finite_or_negative(self, workspace, tmp_path, capsys, km):
+        path = write_distances(tmp_path, [f"p{i}" for i in range(8)])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")  # the p1 row; cell 3 is its p2 column
+        cells[3] = km
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["recommend", *query_flags(workspace, budget="11000"),
+                     "--distances", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: distance (p1, p2) must be finite and >= 0 km")
+        assert len(err.splitlines()) == 1
+
+    def test_same_stops_same_score(self, workspace, capsys):
+        # ALNS and exact return the same stops in different orders here, and
+        # the score is a function of the stops
+        headers, stops = [], []
+        for solver in ("alns", "exact"):
+            assert main(["recommend", *query_flags(workspace), "--solver", solver]) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            headers.append(header)
+            stops.append(sorted(line.split()[0] for line in lines))
+        assert stops[0] == stops[1]
+        assert headers[0].split()[2] == headers[1].split()[2]
+        assert headers[0].split()[2].startswith("score=")
+
     def test_distances_breaking_triangle_inequality(self, workspace, tmp_path, capsys):
         # dropping a stop can make a trip dearer, so ALNS may destroy a trip
         # into one over the budget

@@ -7,6 +7,7 @@ import pytest
 import tripkit.evaluation
 import tripkit.scoring
 from tripkit.alns import AlnsConfig
+from tripkit.checkins import PoiVisit, Trip
 from tripkit.graph import PoiGraph
 from tripkit.embedding import TrainConfig, train
 from tripkit.evaluation import (EvalReport, baseline_pop, baseline_random,
@@ -263,6 +264,28 @@ class TestEvaluate:
                           train_config=TrainConfig(dim=2, max_iterations=1),
                           alns_config=AlnsConfig(runs=1, iterations=5))
         assert any("unknown user: solo" in e["error"] for e in report.errors)
+
+    def test_failed_fold_leaves_no_rows(self):
+        # POI a's visits last 20,000 s in every trip but the first, so fold
+        # 0's training visit time of a is far above the full-corpus mean that
+        # set its budget: even the direct trip is over it
+        def trip(user, stays, t):
+            visits = []
+            for poi, duration in stays:
+                visits.append(PoiVisit(user, poi, t, t + duration))
+                t += duration + 600
+            return Trip(user, tuple(visits))
+        trips = [trip("u0", [("a", 0), ("b", 600), ("c", 600)], 0),
+                 trip("u0", [("a", 20000), ("c", 600), ("d", 600)], 100000),
+                 trip("u1", [("a", 20000), ("b", 600), ("c", 600)], 200000),
+                 trip("u1", [("d", 600), ("b", 600), ("c", 600)], 300000)]
+        report = evaluate(trips, ["random", "pop", "alns"], pois=poi_coords(trips),
+                          train_config=TrainConfig(dim=2, max_iterations=2),
+                          alns_config=AlnsConfig(runs=1, iterations=10))
+        assert [e["fold_id"] for e in report.errors] == [0]
+        assert "random returned an infeasible trip: budget" in report.errors[0]["error"]
+        assert [(r["fold_id"], r["solver"]) for r in report.rows] == [
+            (f, s) for f in (1, 2, 3) for s in ("random", "pop", "alns")]
 
     def test_exact_solver_runs(self, small_corpus):
         report = evaluate(small_corpus[:12], ["exact"], pois=poi_coords(small_corpus),

@@ -277,6 +277,15 @@ class TestSolveExact:
         assert a.trip == b.trip
         assert a.objective == pytest.approx(b.objective)
 
+    def test_objective_is_the_trip_objective(self):
+        # the same bits for the same trip as enumerate_all and ALNS report
+        for seed in range(30):
+            g = random_graph(300 + seed, n=7 + seed % 3)
+            a, b = solve_exact(g), enumerate_all(g)
+            assert a.objective == g.trip_objective(a.trip), f"seed {seed}"
+            if a.trip == b.trip:
+                assert a.objective == b.objective, f"seed {seed}"
+
     def test_result_is_feasible(self):
         for seed in range(8):
             g = random_graph(200 + seed, n=7)

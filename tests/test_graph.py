@@ -77,6 +77,17 @@ class TestTripObjective:
         b = g.trip_objective([0, 3, 1, 2, 6])
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_every_order_has_the_same_bits(self):
+        # summed in trip order, 572 of these 1,000 shuffles moved the last bits
+        rng = np.random.default_rng(15)
+        for seed in range(200):
+            g = random_graph(seed, n=14)
+            stops = rng.permutation(list(g.interior()))[:6].tolist()
+            first = g.trip_objective([g.start, *stops, g.end])
+            for _ in range(5):
+                shuffled = rng.permutation(stops).tolist()
+                assert g.trip_objective([g.start, *shuffled, g.end]) == first, f"seed {seed}"
+
 
 
 class TestBetter:

@@ -3,6 +3,7 @@ references in `oracles.py`: the same lists, the same floats, the same RNG
 draws and the same model files."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ def test_cheapest_insertion(name, graph, model):
             if v not in trip:
                 assert alns.cheapest_insertion(graph, trip, v) == \
                     oracles.cheapest_insertion(graph, trip, v)
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_trip_objective_of_every_order(name, graph, model):
+    # the objective is a function of the stop set: every order of up to five
+    # stops gets the bits of the sorted order
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        stops = random_trip(graph, rng)[1:6]
+        if stops and stops[-1] == graph.end:
+            stops.pop()
+        expected = graph.trip_objective([graph.start, *sorted(stops), graph.end])
+        for order in itertools.permutations(stops):
+            assert graph.trip_objective([graph.start, *order, graph.end]) == expected
 
 
 @pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
