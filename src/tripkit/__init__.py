@@ -7,7 +7,7 @@ from .checkins import (CheckinRecord, Poi, PoiVisit, TimeCostModel, Trip,
 from .embedding import EmbeddingModel, TrainConfig, train
 from .scoring import Query, ScoreContext
 from .graph import PoiGraph, build_graph, reachable_candidates
-from .exact import build_ilp, enumerate_all, solve_exact, write_lp
+from .exact import build_ilp, solve_exact, write_lp
 from .alns import AlnsConfig, run_alns
 from .evaluation import evaluate, make_folds, metrics
 
@@ -17,7 +17,7 @@ __all__ = [
     "EmbeddingModel", "TrainConfig", "train",
     "Query", "ScoreContext",
     "PoiGraph", "build_graph", "reachable_candidates",
-    "build_ilp", "enumerate_all", "solve_exact", "write_lp",
+    "build_ilp", "solve_exact", "write_lp",
     "AlnsConfig", "run_alns",
     "evaluate", "make_folds", "metrics",
 ]

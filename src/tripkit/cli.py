@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -246,6 +247,7 @@ def cmd_export_lp(args) -> int:
     return EXIT_OK
 
 
+@functools.cache   # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tripkit",
                                      description="Trip recommendation toolkit: learn "

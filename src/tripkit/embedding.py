@@ -57,6 +57,9 @@ class EmbeddingModel:
         self.zpair = zpair
         if set(poi_vec) != set(poi_pop):
             raise ValueError("every POI needs both a vector and a popularity bias")
+        bad_pop = next((p for p, b in poi_pop.items() if not math.isfinite(b)), None)
+        if bad_pop is not None:
+            raise ValueError(f"non-finite popularity bias for {bad_pop}")
         # the first bad vector in POI-then-user order is named, whether its
         # shape or its values are bad
         named = list(poi_vec.items()) + list(user_vec.items())
@@ -127,13 +130,16 @@ class EmbeddingModel:
                 continue
             if parts[0] not in ("P", "U", "ZPAIR") or len(parts) < (3 if parts[0] == "P" else 2):
                 raise ValueError(f"bad model file line: {line!r}")
+            if parts[0] == "ZPAIR":
+                zpair = float(parts[1])
+                continue
+            if parts[1] in (poi_vec if parts[0] == "P" else user_vec):
+                raise ValueError(f"repeated id in model file: {parts[1]}")
             if parts[0] == "P":
                 poi_pop[parts[1]] = float(parts[2])
                 poi_vec[parts[1]] = np.array([float(c) for c in parts[3:]])
-            elif parts[0] == "U":
-                user_vec[parts[1]] = np.array([float(c) for c in parts[2:]])
             else:
-                zpair = float(parts[1])
+                user_vec[parts[1]] = np.array([float(c) for c in parts[2:]])
         if len(poi_vec) != n_pois or len(user_vec) != n_users:
             raise ValueError("model file entry counts disagree with header")
         return cls(dim, poi_vec, poi_pop, user_vec, zpair=zpair)
@@ -158,41 +164,56 @@ def compile_observations(trips: Sequence[Trip], pois: Sequence[str],
     return observations
 
 
-def sgd_step(P: np.ndarray, U: np.ndarray, pop: list[float], user: int, target: int,
-             context: np.ndarray, negative: int, config: TrainConfig):
-    """One BPR gradient-ascent step on rows of the POI matrix `P`, the user
-    matrix `U` and the popularity biases `pop`; every update reads pre-step
-    values. The target, negative and context rows must be distinct."""
+def step_factors(m: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant arrays of a step on m rows [user, target, negative,
+    context…]: which rows follow the user-plus-context vector (the target and
+    the negative), and each row's learning-rate and shrinkage factors. The
+    negative moves against its gradient, so its rate is −η; under
+    `corrected_reg` its shrinkage is −2λ, so that it shrinks too."""
+    toward_context = np.zeros((m, 1), dtype=bool)
+    toward_context[1:3] = True
+    scale = np.full((m, config.dim), config.learning_rate)
+    scale[2] = -config.learning_rate
+    shrink = np.full((m, config.dim), 2 * config.regularization)
+    if config.corrected_reg:
+        shrink[2] = -shrink[2]
+    return toward_context, scale, shrink
+
+
+def sgd_step(W: np.ndarray, pop: list[float], rows: np.ndarray,
+             factors: tuple[np.ndarray, np.ndarray, np.ndarray], config: TrainConfig):
+    """One BPR gradient-ascent step on the rows `rows` = [user, target,
+    negative, context…] of the parameter matrix `W` (POI rows, then user rows)
+    and on the popularity biases `pop`, with `factors` =
+    `step_factors(len(rows), config)`. Context rows are given in full mode
+    only, and all rows must be distinct. The rows are gathered once and
+    scattered once, so every update reads pre-step values. Negating η and 2λ
+    is exact in IEEE arithmetic, so the negative's row gets the same bits as
+    lₙ − η(δ(u + c) ∓ 2λlₙ)."""
     eta, lam = config.learning_rate, config.regularization
     mode = config.mode
+    target, negative = int(rows[1]), int(rows[2])
     if mode == "pop-only":
         z = pop[target] - pop[negative]
     else:
-        u0, lt0, ln0 = U[user], P[target], P[negative]   # views: read before any write
+        R = W.take(rows, axis=0)
+        u0, lt0, ln0 = R[0], R[1], R[2]
         if mode == "full":
-            li0 = P[context]
             # summed row after row, as the context vector always was: `sum`
             # pairs rows up when d = 1, which moves the last bit
-            c = np.add.accumulate(li0)[-1] if len(li0) else np.zeros(len(u0))
-            z = (float(lt0 @ c) + float(lt0 @ u0) + pop[target]
-                 - float(ln0 @ c) - float(ln0 @ u0) - pop[negative])
+            c = np.add.accumulate(R[3:])[-1] if len(R) > 3 else np.zeros(len(u0))
+            z = (lt0.dot(c) + lt0.dot(u0) + pop[target]
+                 - ln0.dot(c) - ln0.dot(u0) - pop[negative])
             uc = u0 + c
         else:
-            z = float(lt0 @ u0) + pop[target] - float(ln0 @ u0) - pop[negative]
+            z = lt0.dot(u0) + pop[target] - ln0.dot(u0) - pop[negative]
             uc = u0
     delta = 1.0 - sigmoid(z)
 
     if mode != "pop-only":
-        toward_target = delta * (lt0 - ln0)
-        toward_context = delta * uc
-        U[user] = u0 + eta * (toward_target - 2 * lam * u0)
-        P[target] = lt0 + eta * (toward_context - 2 * lam * lt0)
-        if config.corrected_reg:
-            P[negative] = ln0 - eta * (toward_context + 2 * lam * ln0)
-        else:
-            P[negative] = ln0 - eta * (toward_context - 2 * lam * ln0)
-        if mode == "full":
-            P[context] = li0 + eta * (toward_target - 2 * lam * li0)
+        toward_context, scale, shrink = factors
+        G = np.where(toward_context, delta * uc, delta * (lt0 - ln0))
+        W[rows] = R + scale * (G - shrink * R)
     pop[target] += eta * (delta - 2 * lam * pop[target])
     if config.corrected_reg:
         pop[negative] -= eta * (delta + 2 * lam * pop[negative])
@@ -244,23 +265,31 @@ def train(trips: Sequence[Trip], config: TrainConfig | None = None) -> Embedding
     rng = np.random.default_rng(config.rng_seed)
     init = init_model(trips, config, rng)
     pois, users = init.poi_ids, sorted(init.user_vec)
-    P = np.stack([init.poi_vec[p] for p in pois])
-    U = np.stack([init.user_vec[u] for u in users])
+    n = len(pois)
+    W = np.stack([init.poi_vec[p] for p in pois] + [init.user_vec[u] for u in users])
     pop = [init.poi_pop[p] for p in pois]
     observations = compile_observations(trips, pois, users)
+    full = config.mode == "full"
+    for i, (user, inside, target, context) in enumerate(observations):
+        # row 2 is the negative's slot, filled before each step
+        rows = [n + user, target, 0, *context] if full else [n + user, target, 0]
+        observations[i] = (inside, np.array(rows, dtype=np.intp))
+    factors = {m: step_factors(m, config) for m in {len(rows) for _, rows in observations}}
     order = range(len(observations))
     for _ in range(config.max_iterations):
         if config.shuffle:
             order = rng.permutation(len(observations))
         for i in order:
-            user, inside, target, context = observations[i]
-            for negative in sample_negatives(inside, len(pois), config.negatives, rng):
-                sgd_step(P, U, pop, user, target, context, negative, config)
-        if not np.isfinite(P).all():
+            inside, rows = observations[i]
+            step = factors[len(rows)]
+            for negative in sample_negatives(inside, n, config.negatives, rng):
+                rows[2] = negative
+                sgd_step(W, pop, rows, step, config)
+        if not np.isfinite(W[:n]).all():
             raise FloatingPointError("non-finite POI vector")
-        if not np.isfinite(U).all():
+        if not np.isfinite(W[n:]).all():
             raise FloatingPointError("non-finite user vector")
         if not all(math.isfinite(p) for p in pop):
             raise FloatingPointError("non-finite popularity bias")
-    return EmbeddingModel(config.dim, dict(zip(pois, P)), dict(zip(pois, pop)),
-                          dict(zip(users, U)))
+    return EmbeddingModel(config.dim, dict(zip(pois, W[:n])), dict(zip(pois, pop)),
+                          dict(zip(users, W[n:])))

@@ -1,16 +1,13 @@
 """Exact solving: the linearized integer program, its LP-format text export,
-and a branch-and-bound optimizer with a brute-force oracle."""
+and a branch-and-bound optimizer."""
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from .graph import PoiGraph, better, within_budget
-
-BRUTE_FORCE_GUARD = 12
 
 
 @dataclass
@@ -146,28 +143,6 @@ class SolveResult:
     trip: list[int]
     objective: float
     nodes: int = 0
-
-
-def enumerate_all(graph: PoiGraph) -> SolveResult | None:
-    """Brute-force oracle: every subset and ordering of interior vertices."""
-    if graph.n > BRUTE_FORCE_GUARD:
-        raise ValueError(f"brute force guarded at |V| <= {BRUTE_FORCE_GUARD}")
-    interior = list(graph.interior())
-    best_obj, best_trip = -math.inf, None
-    count = 0
-    for size in range(len(interior) + 1):
-        for subset in itertools.combinations(interior, size):
-            for order in itertools.permutations(subset):
-                trip = [graph.start, *order, graph.end]
-                count += 1
-                if not graph.feasible(trip).ok:
-                    continue
-                obj = graph.trip_objective(trip)
-                if better(obj, trip, best_obj, best_trip):
-                    best_obj, best_trip = obj, trip
-    if best_trip is None:
-        return None
-    return SolveResult(best_trip, best_obj, count)
 
 
 def solve_exact(graph: PoiGraph) -> SolveResult | None:

@@ -15,6 +15,7 @@ the same model files, byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -24,8 +25,8 @@ import numpy as np
 import tripkit.embedding as embedding
 from tripkit.checkins import Trip, UnknownPoiError
 from tripkit.embedding import EmbeddingModel, TrainConfig, init_model, sigmoid
-from tripkit.exact import Constraint, IlpModel, pvar, xpvar, xvar
-from tripkit.graph import PoiGraph, within_budget
+from tripkit.exact import Constraint, IlpModel, SolveResult, pvar, xpvar, xvar
+from tripkit.graph import PoiGraph, better, within_budget
 from tripkit.scoring import ScoreContext
 
 # --- ALNS build and 2-opt, rescanning ------------------------------------------
@@ -175,6 +176,33 @@ def zpair_full(model: EmbeddingModel) -> float:
     sims = mat @ mat.T
     np.fill_diagonal(sims, -np.inf)
     return float(np.exp(sims).sum())
+
+
+# --- brute force over every trip ----------------------------------------------
+
+BRUTE_FORCE_GUARD = 12
+
+
+def enumerate_all(graph: PoiGraph) -> SolveResult | None:
+    """Brute-force oracle: every subset and ordering of interior vertices."""
+    if graph.n > BRUTE_FORCE_GUARD:
+        raise ValueError(f"brute force guarded at |V| <= {BRUTE_FORCE_GUARD}")
+    interior = list(graph.interior())
+    best_obj, best_trip = -math.inf, None
+    count = 0
+    for size in range(len(interior) + 1):
+        for subset in itertools.combinations(interior, size):
+            for order in itertools.permutations(subset):
+                trip = [graph.start, *order, graph.end]
+                count += 1
+                if not graph.feasible(trip).ok:
+                    continue
+                obj = graph.trip_objective(trip)
+                if better(obj, trip, best_obj, best_trip):
+                    best_obj, best_trip = obj, trip
+    if best_trip is None:
+        return None
+    return SolveResult(best_trip, best_obj, count)
 
 
 # --- the integer program's assignments -----------------------------------------
@@ -348,20 +376,22 @@ def train_reference(trips: Sequence[Trip], config: TrainConfig | None = None) ->
 
 def array_step(model: EmbeddingModel, obs: Observation, negative: str,
                config: TrainConfig):
-    """`tripkit.embedding.sgd_step` applied to a dict model: the model's
-    vectors are stacked as rows in sorted-id order, stepped, and written back."""
+    """`tripkit.embedding.sgd_step` applied to a dict model, on the rows that
+    `train` gives it: the model's POI vectors, then its user vectors, are
+    stacked as rows in sorted-id order, stepped, and written back. As in
+    `train`, the context's rows are passed only in full mode."""
     pois, users = model.poi_ids, sorted(model.user_vec)
     row = {p: i for i, p in enumerate(pois)}
-    P = np.stack([model.poi_vec[p] for p in pois])
-    U = np.stack([model.user_vec[u] for u in users])
+    W = np.stack([model.poi_vec[p] for p in pois] + [model.user_vec[u] for u in users])
     pop = [model.poi_pop[p] for p in pois]
-    context = np.array([row[p] for p in sorted(obs.context)], dtype=np.intp)
-    embedding.sgd_step(P, U, pop, users.index(obs.user_id), row[obs.target], context,
-                       row[negative], config)
+    context = [row[p] for p in sorted(obs.context)] if config.mode == "full" else []
+    rows = np.array([len(pois) + users.index(obs.user_id), row[obs.target], row[negative],
+                     *context], dtype=np.intp)
+    embedding.sgd_step(W, pop, rows, embedding.step_factors(len(rows), config), config)
     for p, i in row.items():
-        model.poi_vec[p], model.poi_pop[p] = P[i], pop[i]
+        model.poi_vec[p], model.poi_pop[p] = W[i], pop[i]
     for j, u in enumerate(users):
-        model.user_vec[u] = U[j]
+        model.user_vec[u] = W[len(pois) + j]
 
 
 # --- the embedding's likelihoods -------------------------------------------------

@@ -15,12 +15,13 @@ from tripkit.alns import AlnsConfig, SolutionPool, destroy, init_pool, local_sea
 from tripkit.checkins import Poi, TimeCostModel
 from tripkit.embedding import EmbeddingModel, TrainConfig, train
 from tripkit.evaluation import evaluate
-from tripkit.exact import build_ilp, enumerate_all, solve_exact, xpvar, xvar
+from tripkit.exact import build_ilp, solve_exact, xpvar, xvar
 from tripkit.graph import PoiGraph, build_graph
 from tripkit.scoring import Query, ScoreContext, compute_zpair
 from conftest import make_trip, random_graph, two_clique_corpus
 from test_embedding import clique_similarity, finite_diff_gradients
-from oracles import Observation, array_step, check_assignment, encode_trip, prob_full, satisfied
+from oracles import (Observation, array_step, check_assignment, encode_trip, enumerate_all,
+                     prob_full, satisfied)
 
 
 def report(name: str, detail: str):

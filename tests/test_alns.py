@@ -11,10 +11,9 @@ from tripkit.alns import (BUILD_OPS, DESTROY_OPS, AlnsConfig, SolutionPool,
                           removal_cost_delta, removal_count,
                           removal_profit_delta, roulette_select, run_alns,
                           sa_accept, update_weight, write_trace_csv)
-from tripkit.exact import enumerate_all
 from tripkit.graph import PoiGraph
 from conftest import random_graph
-from oracles import insertion_cost
+from oracles import enumerate_all, insertion_cost
 
 
 class TestConfig:

@@ -424,6 +424,44 @@ class TestConfigFile:
         assert (tmp_path / "cfg.txt").read_bytes() != workspace["model"].read_bytes()
 
 
+def test_one_parser_serves_every_call(workspace, tmp_path, capsys):
+    # the parser is built once per process; a second round of the same calls
+    # through it gives the same exit codes, output and files
+    assert tripkit.cli.build_parser() is tripkit.cli.build_parser()
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nshuffle=true\n")
+    calls = [
+        ["ingest", str(workspace["checkins"]), "--pois", str(workspace["pois"]),
+         "--out", str(tmp_path / "corpus.json")],
+        ["train", str(workspace["corpus"]), "--out", str(tmp_path / "model.txt"),
+         "--dim", "3", "--epochs", "2"],
+        ["recommend", *query_flags(workspace)],
+        ["evaluate", str(workspace["corpus"]), "--solvers", "random,pop", "--dim", "3",
+         "--epochs", "1", "--out", str(tmp_path / "eval.csv")],
+        ["train", str(workspace["corpus"]), "--config", str(cfg),
+         "--out", str(tmp_path / "cfg.txt"), "--dim", "2"],
+    ]
+
+    def without_ms(text, sep=None):
+        # evaluate's last column is the wall time
+        return [line.rsplit(sep, 1)[0] for line in text.splitlines()]
+
+    rounds = []
+    for _ in range(2):
+        seen = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen.append((code, without_ms(captured.out) if argv[0] == "evaluate"
+                         else captured.out, captured.err))
+        for name in ("corpus.json", "model.txt", "cfg.txt", "cfg.txt.manifest"):
+            seen.append((tmp_path / name).read_text())
+        seen.append(without_ms((tmp_path / "eval.csv").read_text(), ","))
+        rounds.append(seen)
+    assert [code for code, *_ in rounds[0][:len(calls)]] == [0] * len(calls)
+    assert rounds[0] == rounds[1]
+
+
 def bad_corpus(text):
     def make(workspace, tmp_path):
         path = tmp_path / "bad.json"
@@ -439,6 +477,16 @@ def bad_model(line):
         flags = query_flags(workspace)
         flags[flags.index("--model") + 1] = str(path)
         return ["recommend", *flags], "bad model file line: " + repr(line + "\n")
+    return make
+
+
+def model_lines(header, lines, needle):
+    def make(workspace, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        flags = query_flags(workspace)
+        flags[flags.index("--model") + 1] = str(path)
+        return ["recommend", *flags], needle
     return make
 
 
@@ -463,11 +511,17 @@ def out_in_missing_dir(workspace, tmp_path):
     bad_corpus("[]"),
     bad_model("P p1"),
     bad_model("ZPAIR"),
+    model_lines("CAPE v1 d=2 pois=2 users=0", ["P a 0.1 1 2", "P b 0.2 1 2", "P a 0.3 1 2"],
+                "repeated id in model file: a"),
+    model_lines("CAPE v1 d=2 pois=0 users=2", ["U u0 1 2", "U u1 1 2", "U u0 1 2"],
+                "repeated id in model file: u0"),
+    model_lines("CAPE v1 d=2 pois=1 users=0", ["P a nan 1 2"], "non-finite popularity bias for a"),
     missing_config,
     missing_distances,
     out_in_missing_dir,
 ], ids=["corpus-no-trips", "visit-no-t_a", "corpus-list", "model-short-P",
-        "model-bare-ZPAIR", "missing-config", "missing-distances", "out-dir-missing"])
+        "model-bare-ZPAIR", "model-repeated-poi", "model-repeated-user",
+        "model-nan-bias", "missing-config", "missing-distances", "out-dir-missing"])
 def test_malformed_input_exit_2(make, workspace, tmp_path, capsys):
     argv, needle = make(workspace, tmp_path)
     assert main(argv) == 2

@@ -9,12 +9,12 @@ from scipy.sparse import lil_matrix
 
 from tripkit.alns import AlnsConfig, run_alns
 from tripkit.evaluation import baseline_pop, baseline_random
-from tripkit.exact import (Constraint, IlpModel, build_ilp, enumerate_all, pvar,
-                           solve_exact, write_lp, xpvar, xvar)
+from tripkit.exact import (Constraint, IlpModel, build_ilp, pvar, solve_exact, write_lp,
+                           xpvar, xvar)
 from tripkit.graph import PoiGraph
 from conftest import random_graph
 from lp_reader import models_equal, read_lp
-from oracles import check_assignment, encode_trip, objective_value
+from oracles import check_assignment, encode_trip, enumerate_all, objective_value
 
 
 def solve_with_highs(model: IlpModel) -> tuple[float, dict[str, float]]:

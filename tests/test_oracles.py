@@ -248,6 +248,10 @@ def random_corpus(seed: int, n_pois: int, n_trips: int, lengths: tuple[int, int]
 # 1,200 POIs, of which each trip covers 3-8; and 60 POIs in trips of 12-20
 WIDE = random_corpus(11, 1200, 200, (3, 9), 40)
 LONG = random_corpus(12, 60, 30, (12, 21), 8)
+# trips of 1-3 POIs, so that some observations have an empty context; and
+# 6 POIs, so that 20 negatives drawn from at most 5 outside a trip repeat
+SINGLES = random_corpus(13, 20, 40, (1, 4), 6)
+FEW = random_corpus(14, 6, 20, (1, 4), 3)
 MODES = ("full", "pop+pref", "pop-only")
 TRAIN_CASES = (
     [("wide", WIDE, TrainConfig(dim=13, max_iterations=1, mode=mode)) for mode in MODES]
@@ -256,7 +260,16 @@ TRAIN_CASES = (
        for mode in MODES for shuffle in (False, True) for corrected in (False, True)]
     + [("long", LONG, TrainConfig(dim=dim, max_iterations=2, mode=mode, shuffle=True,
                                   corrected_reg=True, learning_rate=0.05))
-       for mode in MODES for dim in (1, 2, 13)])
+       for mode in MODES for dim in (1, 2, 13)]
+    # BLAS switches to blocked kernels at these widths
+    + [("long", LONG, TrainConfig(dim=dim, max_iterations=1, mode=mode, shuffle=True,
+                                  learning_rate=0.05))
+       for mode in MODES for dim in (16, 64)]
+    + [("singles", SINGLES, TrainConfig(dim=8, max_iterations=3, mode=mode, learning_rate=0.05))
+       for mode in MODES]
+    + [("few-neg20", FEW, TrainConfig(dim=4, max_iterations=3, negatives=20, mode=mode,
+                                      corrected_reg=True, learning_rate=0.05))
+       for mode in MODES])
 
 
 def model_file(model) -> str:
