@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -21,28 +21,24 @@ BUILD_OPS = ("most_profit", "least_cost", "most_similarity", "highest_potential"
 
 @dataclass
 class AlnsConfig:
+    """What a caller sets: the runs, the iterations per run and the seed. The
+    rest is the one tuned parameter set that ALNS runs with."""
+
     runs: int = 5
     iterations: int = 1000
-    removal_fraction: float = 0.2
-    randomness: float = 6.0  # exponent; larger = more deterministic removals
-    scores: tuple[float, ...] = (10.0, 5.0, 3.0, 1.0, 0.0)
-    reaction: float = 0.9
-    temperature: float = 0.3
-    cooling: float = 0.9995
-    pool_size: int = 10
     rng_seed: int = 42
+    removal_fraction: ClassVar[float] = 0.2
+    randomness: ClassVar[float] = 6.0  # exponent; larger = more deterministic removals
+    scores: ClassVar[tuple[float, ...]] = (10.0, 5.0, 3.0, 1.0, 0.0)
+    reaction: ClassVar[float] = 0.9
+    temperature: ClassVar[float] = 0.3
+    cooling: ClassVar[float] = 0.9995
+    pool_size: ClassVar[int] = 10
 
     def __post_init__(self):
-        if not 0 < self.removal_fraction <= 1:
-            raise ValueError("removal fraction must be in (0, 1]")
-        if any(a <= b for a, b in zip(self.scores, self.scores[1:])):
-            raise ValueError("scenario scores must be strictly decreasing")
-        if not 0 <= self.reaction <= 1:
-            raise ValueError("reaction factor must be in [0, 1]")
-        if not 0 < self.cooling < 1:
-            raise ValueError("cooling factor must be in (0, 1)")
-        if self.temperature <= 0 or self.pool_size < 1:
-            raise ValueError("temperature must be > 0 and pool size >= 1")
+        if self.runs < 0 or self.iterations < 0:
+            raise ValueError(f"runs and iterations must be >= 0, not {self.runs} and "
+                             f"{self.iterations}")
 
 
 @dataclass
@@ -84,11 +80,11 @@ def update_weight(weight: float, score: float, reaction: float) -> float:
 def roulette_select(weights: dict[str, float], rng: np.random.Generator) -> str:
     total = 0.0
     for w in weights.values():
-        total += max(w, WEIGHT_FLOOR)
+        total += w
     x = rng.random() * total
     acc = 0.0
     for name, w in weights.items():
-        acc += max(w, WEIGHT_FLOOR)
+        acc += w
         if x < acc:
             return name
     return name  # guard against x == total

@@ -208,8 +208,8 @@ class TimeCostModel:
     distance_matrix: dict[tuple[str, str], float] | None = None
 
     def __post_init__(self):
-        if self.walking_speed <= 0:
-            raise ValueError("walking speed must be positive")
+        if not self.walking_speed > 0:
+            raise ValueError(f"walking speed must be positive, not {self.walking_speed}")
         for poi_id, t in self.visit_times.items():
             if t < 0:
                 raise ValueError(f"negative visit time for {poi_id}")
@@ -237,11 +237,19 @@ class TimeCostModel:
     def transit_time(self, a: str, b: str) -> float:
         return self.distance_km(a, b) / self.walking_speed * 3600.0
 
+    def leg(self, a: str, b: str) -> float:
+        """The one leg-cost rule: going on from a to b costs b's visit time
+        plus the transit."""
+        return self.visit_time(b) + self.transit_time(a, b)
+
     def trip_cost(self, poi_ids: Sequence[str]) -> float:
+        """The first stop's visit time plus each leg, summed in trip order, as
+        `PoiGraph.trip_cost` sums."""
         if not poi_ids:
             raise ValueError("trip must contain at least one POI")
-        cost = sum(self.visit_time(p) for p in poi_ids)
-        cost += sum(self.transit_time(a, b) for a, b in zip(poi_ids, poi_ids[1:]))
+        cost = self.visit_time(poi_ids[0])
+        for a, b in zip(poi_ids, poi_ids[1:]):
+            cost += self.leg(a, b)
         return cost
 
 

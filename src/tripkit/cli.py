@@ -191,9 +191,7 @@ def cmd_recommend(args) -> int:
     if not graph.feasible(direct).ok:
         raise CliError("no feasible trip", EXIT_INFEASIBLE)
     if args.solver == "exact":
-        result = solve_exact(graph)
-        if result is None:
-            raise CliError("no feasible trip", EXIT_INFEASIBLE)
+        result = solve_exact(graph)  # not None: the direct trip fits
         trip, score = result.trip, result.objective
     else:
         config = AlnsConfig(runs=args.runs, iterations=args.iterations, rng_seed=args.seed)

@@ -82,12 +82,6 @@ class EmbeddingModel:
         except KeyError:
             raise UnknownPoiError(f"unknown POI: {poi_id}") from None
 
-    def pop(self, poi_id: str) -> float:
-        try:
-            return self.poi_pop[poi_id]
-        except KeyError:
-            raise UnknownPoiError(f"unknown POI: {poi_id}") from None
-
     def user(self, user_id: str) -> np.ndarray:
         try:
             return self.user_vec[user_id]
@@ -145,22 +139,25 @@ class EmbeddingModel:
         return cls(dim, poi_vec, poi_pop, user_vec, zpair=zpair)
 
 
-def compile_observations(trips: Sequence[Trip], pois: Sequence[str],
-                         users: Sequence[str]) -> list[tuple[int, list[int], int, np.ndarray]]:
-    """Every (trip, target POI) training example as rows of the parameter
-    matrices: (user row, the trip's POI rows ascending, target row, the other
-    rows of the trip ascending). Sorted ids give ascending rows, so the context
-    rows keep the order of the sorted context ids."""
+def compile_observations(trips: Sequence[Trip], pois: Sequence[str], users: Sequence[str],
+                         full: bool) -> list[tuple[list[int], np.ndarray]]:
+    """Every (trip, target POI) training example as (inside, rows): the trip's
+    POI rows ascending, and the `intp` rows [user, target, negative slot,
+    context…] of the parameter matrix (POI rows, then user rows) that
+    `sgd_step` reads. The slot holds 0 until each step fills it. The context,
+    the trip's other POI rows ascending, is there in full mode only; sorted
+    ids give ascending rows, so it keeps the order of the sorted context ids."""
+    n = len(pois)
     poi_row = {p: i for i, p in enumerate(pois)}
-    user_row = {u: j for j, u in enumerate(users)}
+    user_row = {u: n + j for j, u in enumerate(users)}
     observations = []
     for trip in trips:
         user = user_row[trip.user_id]
         inside = sorted(poi_row[p] for p in trip.poi_set())
         for visit in trip.visits:
             target = poi_row[visit.poi_id]
-            context = np.array([r for r in inside if r != target], dtype=np.intp)
-            observations.append((user, inside, target, context))
+            context = [r for r in inside if r != target] if full else []
+            observations.append((inside, np.array([user, target, 0, *context], dtype=np.intp)))
     return observations
 
 
@@ -268,12 +265,7 @@ def train(trips: Sequence[Trip], config: TrainConfig | None = None) -> Embedding
     n = len(pois)
     W = np.stack([init.poi_vec[p] for p in pois] + [init.user_vec[u] for u in users])
     pop = [init.poi_pop[p] for p in pois]
-    observations = compile_observations(trips, pois, users)
-    full = config.mode == "full"
-    for i, (user, inside, target, context) in enumerate(observations):
-        # row 2 is the negative's slot, filled before each step
-        rows = [n + user, target, 0, *context] if full else [n + user, target, 0]
-        observations[i] = (inside, np.array(rows, dtype=np.intp))
+    observations = compile_observations(trips, pois, users, config.mode == "full")
     factors = {m: step_factors(m, config) for m in {len(rows) for _, rows in observations}}
     order = range(len(observations))
     for _ in range(config.max_iterations):

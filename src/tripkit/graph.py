@@ -110,16 +110,15 @@ class PoiGraph:
 
 def reachable_candidates(query: Query, tcm: TimeCostModel,
                          pool: Sequence[str]) -> list[str]:
-    """POIs that could appear in some feasible trip: a round-trip detour through
-    the POI must fit the budget."""
-    base = tcm.visit_time(query.start) + tcm.visit_time(query.end)
+    """POIs that could appear in some feasible trip: the trip start, p, end must
+    fit the budget, summed as `PoiGraph.trip_cost` sums it."""
+    start, end = query.start, query.end
+    start_visit = tcm.visit_time(start)
     keep = []
     for p in sorted(set(pool)):
-        if p in (query.start, query.end):
+        if p in (start, end):
             continue
-        detour = (base + tcm.transit_time(query.start, p) + tcm.visit_time(p)
-                  + tcm.transit_time(p, query.end))
-        if within_budget(detour, query.budget):
+        if within_budget(start_visit + tcm.leg(start, p) + tcm.leg(p, end), query.budget):
             keep.append(p)
     return [query.start] + keep + [query.end]
 
@@ -148,12 +147,7 @@ def build_graph(ctx: ScoreContext, query: Query, tcm: TimeCostModel,
         for j in range(n):
             if i == j:
                 continue
-            if ids[i] != ids[j]:
+            if ids[i] != ids[j]:  # one POI on two vertices (start == end) has no similarity
                 eprofit[i][j] = ctx.ncsim(ids[i], ids[j])
-                transit = tcm.transit_time(ids[i], ids[j])
-            else:
-                # two vertices for one POI (start == end): zero transit, zero
-                # self-similarity
-                transit = 0.0
-            cost[i][j] = tcm.visit_time(ids[j]) + transit
+            cost[i][j] = tcm.leg(ids[i], ids[j])
     return PoiGraph(ids, vprofit, eprofit, cost, query.budget, tcm.visit_time(query.start))

@@ -19,8 +19,8 @@ class Query:
     budget: float  # seconds
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not 0 < self.budget < math.inf:
+            raise ValueError(f"budget must be positive and finite, not {self.budget}")
 
 
 def query_vector(model: EmbeddingModel, query: Query) -> np.ndarray:

@@ -319,8 +319,8 @@ def sgd_step(model: EmbeddingModel, obs: Observation, negative: str,
     if mode == "pop-only":
         z = model.poi_pop[obs.target] - model.poi_pop[negative]
     else:
-        z = float(lt @ c + lt @ u + model.pop(obs.target)
-                  - ln @ c - ln @ u - model.pop(negative))
+        z = float(lt @ c + lt @ u + model.poi_pop[obs.target]
+                  - ln @ c - ln @ u - model.poi_pop[negative])
     delta = 1.0 - sigmoid(z)
 
     u0, lt0, ln0 = u.copy(), lt.copy(), ln.copy()
@@ -419,8 +419,8 @@ def bpr_margin(model: EmbeddingModel, target: str, negative: str,
     c = context_vector(model, context)
     u = model.user(user_id)
     lt, ln = model.vec(target), model.vec(negative)
-    return float(lt @ c + lt @ u + model.pop(target)
-                 - ln @ c - ln @ u - model.pop(negative))
+    return float(lt @ c + lt @ u + model.poi_pop[target]
+                 - ln @ c - ln @ u - model.poi_pop[negative])
 
 
 def bpr_objective(trips: Sequence[Trip], model: EmbeddingModel,

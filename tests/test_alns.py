@@ -23,14 +23,11 @@ class TestConfig:
         assert c.scores == (10.0, 5.0, 3.0, 1.0, 0.0)
 
     def test_validation(self):
+        AlnsConfig(runs=0, iterations=0)
         with pytest.raises(ValueError):
-            AlnsConfig(removal_fraction=0.0)
+            AlnsConfig(runs=-1)
         with pytest.raises(ValueError):
-            AlnsConfig(scores=(10.0, 10.0, 3.0, 1.0, 0.0))
-        with pytest.raises(ValueError):
-            AlnsConfig(cooling=1.0)
-        with pytest.raises(ValueError):
-            AlnsConfig(temperature=0.0)
+            AlnsConfig(iterations=-1)
 
 
 class TestSolutionPool:
@@ -165,15 +162,22 @@ class TestRandomizedIndex:
             assert abs(draws.count(k) / len(draws) - 0.25) < 0.02
 
 
+class GreedyRng:
+    """A generator whose uniform draw is always 0.0: `randomized_index` then
+    picks the first index, so a removal is purely greedy."""
+
+    def uniform(self, low, high):
+        return 0.0
+
+
 class TestDestroy:
     @pytest.mark.parametrize("op", DESTROY_OPS)
     def test_removes_exact_count(self, op):
-        g = random_graph(8, n=8)
-        trip = [0, 1, 2, 3, 4, 5, 7]
-        cfg = AlnsConfig(removal_fraction=0.4)
-        out = destroy(g, trip, op, cfg, np.random.default_rng(0))
-        assert len(out) == len(trip) - removal_count(len(trip), 0.4)
-        assert out[0] == 0 and out[-1] == 7
+        g = random_graph(8, n=13)
+        trip = list(range(13))  # 11 interior stops: ceil(0.2 * 11) = 3 go
+        out = destroy(g, trip, op, AlnsConfig(), np.random.default_rng(0))
+        assert len(out) == len(trip) - 3
+        assert out[0] == 0 and out[-1] == 12
         assert set(out) <= set(trip)
 
     @pytest.mark.parametrize("op", DESTROY_OPS)
@@ -190,11 +194,9 @@ class TestDestroy:
         assert out == [0, 4]
 
     def test_least_profit_deterministic_when_greedy(self):
-        # an enormous randomness exponent degenerates to pure greedy removal
         g = random_graph(10, n=7)
         trip = [0, 1, 2, 3, 6]
-        cfg = AlnsConfig(removal_fraction=0.3, randomness=1e9)
-        out = destroy(g, trip, "least_profit", cfg, np.random.default_rng(3))
+        out = destroy(g, trip, "least_profit", AlnsConfig(), GreedyRng())
         deltas = {p: removal_profit_delta(g, trip, p) for p in (1, 2, 3)}
         worst = min(deltas, key=lambda p: (deltas[p], trip[p]))
         expected = [v for i, v in enumerate(trip) if i != worst]
@@ -203,8 +205,7 @@ class TestDestroy:
     def test_most_cost_deterministic_when_greedy(self):
         g = random_graph(11, n=7)
         trip = [0, 1, 2, 3, 6]
-        cfg = AlnsConfig(removal_fraction=0.3, randomness=1e9)
-        out = destroy(g, trip, "most_cost", cfg, np.random.default_rng(4))
+        out = destroy(g, trip, "most_cost", AlnsConfig(), GreedyRng())
         deltas = {p: removal_cost_delta(g, trip, p) for p in (1, 2, 3)}
         priciest = max(deltas, key=lambda p: (deltas[p], -trip[p]))
         expected = [v for i, v in enumerate(trip) if i != priciest]

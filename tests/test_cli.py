@@ -240,8 +240,22 @@ class TestRecommend:
         assert "no feasible trip" in capsys.readouterr().err
 
     def test_zero_walking_speed_exit_2(self, workspace, capsys):
-        assert main(["recommend", *query_flags(workspace), "--walking-speed", "0"]) == 2
-        assert "walking speed must be positive" in capsys.readouterr().err
+        for speed in ("0", "nan"):
+            assert main(["recommend", *query_flags(workspace), "--walking-speed", speed]) == 2
+            assert "walking speed must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["alns", "exact"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0"])
+    def test_budget_not_positive_and_finite_exit_2(self, workspace, capsys, budget, solver):
+        assert main(["recommend", *query_flags(workspace, budget=budget),
+                     "--solver", solver]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: budget must be positive and finite")
+
+    @pytest.mark.parametrize("flag", ["--runs=-3", "--iterations=-5"])
+    def test_negative_runs_or_iterations_exit_2(self, workspace, capsys, flag):
+        assert main(["recommend", *query_flags(workspace), flag]) == 2
+        assert "runs and iterations must be >= 0" in capsys.readouterr().err
 
     def test_unknown_user_exit_2(self, workspace, capsys):
         flags = query_flags(workspace)
@@ -346,6 +360,15 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert "unknown solver" in captured.err and "nosuch" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--runs=-3", "--iterations=-5"])
+    def test_negative_runs_or_iterations_exit_2(self, workspace, capsys, flag):
+        out = workspace["root"] / "eval_negative.csv"
+        assert main(["evaluate", str(workspace["corpus"]), "--dim", "3", "--epochs", "2",
+                     "--out", str(out), flag]) == 2
+        captured = capsys.readouterr()
+        assert "runs and iterations must be >= 0" in captured.err and captured.out == ""
         assert not out.exists()
 
     def test_empty_solver_list_exit_2(self, workspace, tmp_path, capsys):

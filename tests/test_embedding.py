@@ -346,12 +346,16 @@ class TestTrain:
         assert within > across
 
     def test_observations(self):
+        # rows = [user row (after the 4 POI rows), target, negative slot, context...]
         trip = make_trip("u1", ["c", "a", "b"])
-        obs = compile_observations([trip], ["a", "b", "c", "d"], ["u0", "u1"])
-        assert len(obs) == 3
-        assert [(user, inside, target) for user, inside, target, _ in obs] == \
-            [(1, [0, 1, 2], 2), (1, [0, 1, 2], 0), (1, [0, 1, 2], 1)]
-        assert [context.tolist() for *_, context in obs] == [[0, 1], [1, 2], [0, 2]]
+        obs = compile_observations([trip], ["a", "b", "c", "d"], ["u0", "u1"], True)
+        assert [inside for inside, _ in obs] == [[0, 1, 2]] * 3
+        assert [rows.tolist() for _, rows in obs] == \
+            [[5, 2, 0, 0, 1], [5, 0, 0, 1, 2], [5, 1, 0, 0, 2]]
+        assert all(rows.dtype == np.intp for _, rows in obs)
+        obs = compile_observations([trip], ["a", "b", "c", "d"], ["u0", "u1"], False)
+        assert [inside for inside, _ in obs] == [[0, 1, 2]] * 3
+        assert [rows.tolist() for _, rows in obs] == [[5, 2, 0], [5, 0, 0], [5, 1, 0]]
 
 
 def clique_similarity(model, cliques):

@@ -7,12 +7,14 @@ import pytest
 import tripkit.evaluation
 import tripkit.scoring
 from tripkit.alns import AlnsConfig
-from tripkit.checkins import PoiVisit, Trip
-from tripkit.graph import PoiGraph
-from tripkit.embedding import TrainConfig, train
+from tripkit.checkins import PoiVisit, TimeCostModel, Trip, compute_visit_times
+from tripkit.graph import PoiGraph, build_graph
+from tripkit.embedding import EmbeddingModel, TrainConfig, train
 from tripkit.evaluation import (EvalReport, baseline_pop, baseline_random,
                                 evaluate, make_folds, metrics, visit_count_by_poi)
+from tripkit.scoring import ScoreContext
 from conftest import make_trip, poi_coords, random_graph, two_clique_corpus
+from test_acceptance import structured_corpus
 
 
 class TestMetrics:
@@ -83,6 +85,22 @@ class TestMakeFolds:
         tcm = TimeCostModel(compute_visit_times(trips), pois=pois)
         fold = make_folds(trips, pois=pois)[0]
         assert fold.query.budget == pytest.approx(tcm.trip_cost(["a", "b", "c"]))
+
+    def test_budget_is_the_graph_cost_of_own_trip(self):
+        # to the bit: the corpus time model's trip cost and the graph's sum of
+        # its legs add the same terms in the same order
+        trips, pois = structured_corpus(42)
+        tcm = TimeCostModel(compute_visit_times(trips), pois=pois)
+        ids = sorted(pois)
+        model = EmbeddingModel(2, {p: np.zeros(2) for p in ids}, dict.fromkeys(ids, 0.0),
+                               {t.user_id: np.zeros(2) for t in trips})
+        folds = make_folds(trips, pois=pois)
+        assert len(folds) == len(trips)
+        for fold in folds:
+            stops = fold.test_trip.poi_ids
+            graph = build_graph(ScoreContext(model, fold.query), fold.query, tcm, stops)
+            trip = [0, *(graph.poi_ids.index(p) for p in stops[1:-1]), graph.end]
+            assert graph.trip_cost(trip) == fold.query.budget
 
     def test_repeated_pois_dont_count_twice(self):
         trips = [make_trip("u1", ["a", "b", "a"]),

@@ -161,6 +161,26 @@ class TestReachableCandidates:
         assert p in reachable_candidates(q, tcm, ids)
 
 
+    @pytest.mark.parametrize("seed", range(30, 36))
+    def test_keeps_p_exactly_when_the_graph_trip_through_p_fits(self, seed):
+        # budgets at each detour's graph cost and a hair either side of it
+        model, _, _, tcm, ids = toy_setup(seed=seed, n_pois=7)
+        for start, end in ((ids[0], ids[-1]), (ids[0], ids[0])):
+            wide = Query("u1", start, end, 10**7)
+            graph = build_graph(ScoreContext(model, wide), wide, tcm, ids)
+            budgets = []
+            for v in graph.interior():
+                cost = graph.trip_cost([graph.start, v, graph.end])
+                budgets += [cost, cost * (1 - 1e-10), cost * (1 + 2e-10)]
+            for budget in budgets:
+                query = Query("u1", start, end, budget)
+                graph = build_graph(ScoreContext(model, query), query, tcm, ids)
+                kept = set(reachable_candidates(query, tcm, ids)[1:-1])
+                fits = {graph.poi_ids[v] for v in graph.interior()
+                        if graph.feasible([graph.start, v, graph.end]).ok}
+                assert kept == fits
+
+
 class TestBuildGraph:
     def test_vertex_layout(self):
         model, ctx, query, tcm, ids = toy_setup(seed=20)
