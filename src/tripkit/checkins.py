@@ -208,8 +208,9 @@ class TimeCostModel:
     distance_matrix: dict[tuple[str, str], float] | None = None
 
     def __post_init__(self):
-        if not self.walking_speed > 0:
-            raise ValueError(f"walking speed must be positive, not {self.walking_speed}")
+        if not 0 < self.walking_speed < math.inf:
+            raise ValueError(f"walking speed must be positive and finite, "
+                             f"not {self.walking_speed}")
         for poi_id, t in self.visit_times.items():
             if t < 0:
                 raise ValueError(f"negative visit time for {poi_id}")

@@ -14,7 +14,7 @@ from .checkins import (DEFAULT_TRIP_WINDOW, DEFAULT_WALKING_SPEED, CheckinError,
                        Poi, PoiVisit, TimeCostModel, Trip, UnknownPoiError, aggregate_visits,
                        compute_visit_times, corpus_stats, extract_trips, impacted_user_ratio,
                        independent_pair_ratio, ingest_checkins, load_distance_matrix, load_pois)
-from .embedding import EmbeddingModel, TrainConfig, train
+from .embedding import MODES, EmbeddingModel, TrainConfig, train
 from .evaluation import evaluate
 from .exact import build_ilp, solve_exact, write_lp
 from .graph import build_graph, reachable_candidates
@@ -184,6 +184,8 @@ def _query_graph(args, model, trips, pois):
 
 
 def cmd_recommend(args) -> int:
+    # checked before any file is read, whichever solver runs
+    config = AlnsConfig(runs=args.runs, iterations=args.iterations, rng_seed=args.seed)
     trips, pois = load_corpus(args.corpus)
     model = _load_model(args.model)
     graph = _query_graph(args, model, trips, pois)
@@ -194,7 +196,6 @@ def cmd_recommend(args) -> int:
         result = solve_exact(graph)  # not None: the direct trip fits
         trip, score = result.trip, result.objective
     else:
-        config = AlnsConfig(runs=args.runs, iterations=args.iterations, rng_seed=args.seed)
         result = run_alns(graph, config, model, collect_trace=bool(args.trace))
         if args.trace:
             with open(args.trace, "w") as fh:
@@ -252,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "POI embeddings from check-ins and answer "
                                      "time-budgeted trip queries.")
     sub = parser.add_subparsers(dest="command", required=True)
-    modes = ["full", "pop+pref", "pop-only"]
 
     def common(p):
         p.add_argument("--config", help="key=value config file")
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regularization", type=float, default=TrainConfig.regularization)
     p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
     p.add_argument("--epochs", type=int, default=TrainConfig.max_iterations)
-    p.add_argument("--mode", choices=modes, default=TrainConfig.mode)
+    p.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
     p.add_argument("--corrected-reg", action="store_true")
     p.add_argument("--shuffle", action="store_true")
     seeded(p)
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--solvers", default="random,pop,alns",
                    help="comma list: random,pop,alns,exact (default %(default)s)")
-    p.add_argument("--mode", choices=modes, default=TrainConfig.mode)
+    p.add_argument("--mode", choices=MODES, default=TrainConfig.mode)
     p.add_argument("--dim", type=int, default=TrainConfig.dim)
     p.add_argument("--epochs", type=int, default=TrainConfig.max_iterations)
     p.add_argument("--runs", type=int, default=2)

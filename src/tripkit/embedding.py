@@ -14,6 +14,8 @@ from .checkins import Trip, UnknownPoiError
 
 MODEL_MAGIC = "CAPE"
 MODEL_VERSION = "v1"
+# the joint model, then the ablations: without the context, then without any vector
+MODES = ("full", "pop+pref", "pop-only")
 
 
 def sigmoid(z: float) -> float:
@@ -33,14 +35,14 @@ class TrainConfig:
     rng_seed: int = 42
     corrected_reg: bool = False  # apply shrinkage (not growth) to the negative POI
     shuffle: bool = False
-    mode: str = "full"  # full | pop+pref | pop-only
+    mode: str = "full"  # one of MODES
 
     def __post_init__(self):
         if self.dim < 1 or self.negatives < 1 or self.max_iterations < 0:
             raise ValueError("dim/negatives must be >= 1, max_iterations >= 0")
         if self.learning_rate <= 0 or self.regularization < 0:
             raise ValueError("learning_rate must be > 0 and regularization >= 0")
-        if self.mode not in ("full", "pop+pref", "pop-only"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown training mode: {self.mode}")
 
 
@@ -161,61 +163,53 @@ def compile_observations(trips: Sequence[Trip], pois: Sequence[str], users: Sequ
     return observations
 
 
-def step_factors(m: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constant arrays of a step on m rows [user, target, negative,
-    context…]: which rows follow the user-plus-context vector (the target and
-    the negative), and each row's learning-rate and shrinkage factors. The
-    negative moves against its gradient, so its rate is −η; under
-    `corrected_reg` its shrinkage is −2λ, so that it shrinks too."""
+Factors = tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
+
+
+def step_factors(m: int, config: TrainConfig) -> Factors:
+    """The constants of a step on m rows [user, target, negative, context…]:
+    which rows follow the user-plus-context vector (the target and the
+    negative), each row's learning-rate and shrinkage factors, and the target's
+    and the negative's bias shrinkage. The negative moves against its gradient,
+    so its rate is −η; under `corrected_reg` its shrinkage is −2λ, so that its
+    vector and its bias shrink too."""
+    lam2 = 2 * config.regularization
     toward_context = np.zeros((m, 1), dtype=bool)
     toward_context[1:3] = True
     scale = np.full((m, config.dim), config.learning_rate)
     scale[2] = -config.learning_rate
-    shrink = np.full((m, config.dim), 2 * config.regularization)
-    if config.corrected_reg:
-        shrink[2] = -shrink[2]
-    return toward_context, scale, shrink
+    shrink = np.full((m, config.dim), lam2)
+    negative_shrink = -lam2 if config.corrected_reg else lam2
+    shrink[2] = negative_shrink
+    return toward_context, scale, shrink, lam2, negative_shrink
 
 
-def sgd_step(W: np.ndarray, pop: list[float], rows: np.ndarray,
-             factors: tuple[np.ndarray, np.ndarray, np.ndarray], config: TrainConfig):
+def sgd_step(W: np.ndarray, pop: list[float], rows: np.ndarray, factors: Factors,
+             config: TrainConfig):
     """One BPR gradient-ascent step on the rows `rows` = [user, target,
     negative, context…] of the parameter matrix `W` (POI rows, then user rows)
     and on the popularity biases `pop`, with `factors` =
-    `step_factors(len(rows), config)`. Context rows are given in full mode
-    only, and all rows must be distinct. The rows are gathered once and
-    scattered once, so every update reads pre-step values. Negating η and 2λ
-    is exact in IEEE arithmetic, so the negative's row gets the same bits as
-    lₙ − η(δ(u + c) ∓ 2λlₙ)."""
-    eta, lam = config.learning_rate, config.regularization
-    mode = config.mode
+    `step_factors(len(rows), config)`. All rows must be distinct. An ablation
+    is this step without a factor: `pop+pref` passes no context rows, and
+    `pop-only` steps zero vectors, whose update is exactly 0. The rows are
+    gathered once and scattered once, so every update reads pre-step values.
+    Negating η and 2λ is exact in IEEE arithmetic, so the negative's row and
+    bias get the same bits as lₙ − η(δ(u + c) ∓ 2λlₙ) and pₙ − η(δ ∓ 2λpₙ)."""
+    eta = config.learning_rate
+    toward_context, scale, shrink, target_shrink, negative_shrink = factors
     target, negative = int(rows[1]), int(rows[2])
-    if mode == "pop-only":
-        z = pop[target] - pop[negative]
-    else:
-        R = W.take(rows, axis=0)
-        u0, lt0, ln0 = R[0], R[1], R[2]
-        if mode == "full":
-            # summed row after row, as the context vector always was: `sum`
-            # pairs rows up when d = 1, which moves the last bit
-            c = np.add.accumulate(R[3:])[-1] if len(R) > 3 else np.zeros(len(u0))
-            z = (lt0.dot(c) + lt0.dot(u0) + pop[target]
-                 - ln0.dot(c) - ln0.dot(u0) - pop[negative])
-            uc = u0 + c
-        else:
-            z = lt0.dot(u0) + pop[target] - ln0.dot(u0) - pop[negative]
-            uc = u0
+    R = W.take(rows, axis=0)
+    u0, lt0, ln0 = R[0], R[1], R[2]
+    # summed row after row, as the context vector always was: `sum` pairs
+    # rows up when d = 1, which moves the last bit
+    c = np.add.accumulate(R[3:])[-1] if len(R) > 3 else np.zeros(len(u0))
+    z = (lt0.dot(c) + lt0.dot(u0) + pop[target]
+         - ln0.dot(c) - ln0.dot(u0) - pop[negative])
     delta = 1.0 - sigmoid(z)
-
-    if mode != "pop-only":
-        toward_context, scale, shrink = factors
-        G = np.where(toward_context, delta * uc, delta * (lt0 - ln0))
-        W[rows] = R + scale * (G - shrink * R)
-    pop[target] += eta * (delta - 2 * lam * pop[target])
-    if config.corrected_reg:
-        pop[negative] -= eta * (delta + 2 * lam * pop[negative])
-    else:
-        pop[negative] -= eta * (delta - 2 * lam * pop[negative])
+    G = np.where(toward_context, delta * (u0 + c), delta * (lt0 - ln0))
+    W[rows] = R + scale * (G - shrink * R)
+    pop[target] += eta * (delta - target_shrink * pop[target])
+    pop[negative] -= eta * (delta - negative_shrink * pop[negative])
 
 
 def sample_negatives(inside: Sequence[int], n: int, k: int,

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .alns import AlnsConfig, greedy_extend, run_alns
-from .checkins import TimeCostModel, Trip, compute_visit_times
+from .checkins import TimeCostModel, Trip, UnknownPoiError, compute_visit_times
 from .embedding import TrainConfig, train
 from .exact import solve_exact
 from .graph import PoiGraph, build_graph, reachable_candidates
@@ -196,6 +196,7 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
                              "precision": m.precision, "f1": m.f1, "recall_s": m.recall_s,
                              "precision_s": m.precision_s, "f1_s": m.f1_s, "ms": ms})
             report.rows.extend(rows)
-        except Exception as exc:  # noqa: BLE001 - fold errors are reported, not fatal
+        except (ValueError, UnknownPoiError, RuntimeError, FloatingPointError,
+                OverflowError) as exc:  # what the pipeline raises on purpose
             report.errors.append({"fold_id": fold_id, "error": str(exc)})
     return report

@@ -240,7 +240,7 @@ class TestRecommend:
         assert "no feasible trip" in capsys.readouterr().err
 
     def test_zero_walking_speed_exit_2(self, workspace, capsys):
-        for speed in ("0", "nan"):
+        for speed in ("0", "nan", "inf"):
             assert main(["recommend", *query_flags(workspace), "--walking-speed", speed]) == 2
             assert "walking speed must be positive" in capsys.readouterr().err
 
@@ -255,6 +255,17 @@ class TestRecommend:
     @pytest.mark.parametrize("flag", ["--runs=-3", "--iterations=-5"])
     def test_negative_runs_or_iterations_exit_2(self, workspace, capsys, flag):
         assert main(["recommend", *query_flags(workspace), flag]) == 2
+        assert "runs and iterations must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--budget", "10"], ["--solver", "exact"]])
+    def test_bad_runs_exit_2_before_any_file_is_read(self, workspace, capsys, extra):
+        # an over-tight budget (exit 3) or the exact solver (exit 0) must not
+        # hide the bad flag, and neither must a corpus that does not exist
+        flags = query_flags(workspace) + extra
+        assert main(["recommend", *flags, "--runs=-3"]) == 2
+        assert "runs and iterations must be >= 0" in capsys.readouterr().err
+        flags[flags.index("--corpus") + 1] = str(workspace["root"] / "missing.json")
+        assert main(["recommend", *flags, "--runs=-3"]) == 2
         assert "runs and iterations must be >= 0" in capsys.readouterr().err
 
     def test_unknown_user_exit_2(self, workspace, capsys):

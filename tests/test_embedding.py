@@ -7,7 +7,8 @@ import pytest
 
 from tripkit.checkins import UnknownPoiError
 from tripkit.embedding import (EmbeddingModel, TrainConfig, compile_observations,
-                               init_model, sample_negatives, sigmoid, train)
+                               init_model, sample_negatives, sgd_step, sigmoid,
+                               step_factors, train)
 from conftest import make_trip, two_clique_corpus
 import oracles
 from oracles import (Observation, array_step, bpr_margin, bpr_objective, context_vector,
@@ -437,6 +438,24 @@ class TestAblationModes:
         for p in m.poi_vec:
             assert np.all(m.poi_vec[p] == 0.0)
         assert any(v != 0.0 for v in m.poi_pop.values())
+
+    @pytest.mark.parametrize("corrected_reg", [False, True])
+    def test_step_reads_rows_not_mode(self, corrected_reg):
+        # a mode chooses the rows and the initial vectors, not the update:
+        # the same rows step the same way under every mode
+        W0 = np.random.default_rng(7).uniform(0.0, 1.0, (4, 2))  # p0, p1, p2, then u
+        rows = np.array([3, 0, 1], dtype=np.intp)  # [user, target, negative]
+        stepped = []
+        for mode in ("full", "pop+pref", "pop-only"):
+            cfg = TrainConfig(dim=2, learning_rate=0.01, corrected_reg=corrected_reg,
+                              mode=mode)
+            W, pop = W0.copy(), [0.3, -0.2, 0.1]
+            sgd_step(W, pop, rows, step_factors(len(rows), cfg), cfg)
+            stepped.append((W, pop))
+        (W_full, pop_full), *ablations = stepped
+        assert not np.array_equal(W_full, W0)
+        for W, pop in ablations:
+            assert np.array_equal(W, W_full) and pop == pop_full
 
     def test_pop_pref_ignores_context(self):
         # with the context zeroed, the step must equal a step on an

@@ -305,6 +305,15 @@ class TestEvaluate:
         assert [(r["fold_id"], r["solver"]) for r in report.rows] == [
             (f, s) for f in (1, 2, 3) for s in ("random", "pop", "alns")]
 
+    def test_a_bug_is_not_a_failed_fold(self, small_corpus, monkeypatch):
+        # only what the pipeline raises on purpose excludes a fold
+        def broken(graph, counts):
+            raise TypeError("a bug")
+        monkeypatch.setattr(tripkit.evaluation, "baseline_pop", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            evaluate(small_corpus, ["pop"], pois=poi_coords(small_corpus),
+                     train_config=TrainConfig(dim=2, max_iterations=1), shared_model=True)
+
     def test_exact_solver_runs(self, small_corpus):
         report = evaluate(small_corpus[:12], ["exact"], pois=poi_coords(small_corpus),
                           train_config=TrainConfig(dim=3, max_iterations=2),
