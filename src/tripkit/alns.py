@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -94,17 +94,27 @@ def removal_count(trip_len: int, fraction: float) -> int:
     return math.ceil(fraction * max(trip_len - 2, 0))
 
 
+def cheapest_insertions(graph: PoiGraph, trip: Sequence[int],
+                        vertices: Iterable[int]) -> dict[int, tuple[int, float]]:
+    """Each vertex's cheapest insertion (pos, delta) in `trip`: the first
+    position (1 = between the trip's first two vertices) with the least cost
+    delta of inserting it. The trip's edges and their costs are listed once."""
+    cost, cost_in = graph.cost, graph.cost_in
+    edges = [(pos, a, b, cost[a][b]) for pos, (a, b) in enumerate(zip(trip, trip[1:]), 1)]
+    table = {}
+    for v in vertices:
+        into_v, out_v = cost_in[v], cost[v]
+        best_pos, best_delta = 1, math.inf
+        for pos, a, b, cost_ab in edges:
+            delta = into_v[a] + out_v[b] - cost_ab
+            if delta < best_delta:
+                best_pos, best_delta = pos, delta
+        table[v] = (best_pos, best_delta)
+    return table
+
+
 def cheapest_insertion(graph: PoiGraph, trip: Sequence[int], v: int) -> tuple[int, float]:
-    """The first position (1 = between the trip's first two vertices) with the
-    least cost delta of inserting v."""
-    cost, into_v, out_v = graph.cost, graph.cost_in[v], graph.cost[v]
-    best_pos, best_delta = 1, math.inf
-    for pos in range(1, len(trip)):
-        a, b = trip[pos - 1], trip[pos]
-        delta = into_v[a] + out_v[b] - cost[a][b]
-        if delta < best_delta:
-            best_pos, best_delta = pos, delta
-    return best_pos, best_delta
+    return cheapest_insertions(graph, trip, (v,))[v]
 
 
 def removal_cost_delta(graph: PoiGraph, trip: Sequence[int], pos: int) -> float:
@@ -167,17 +177,16 @@ def greedy_extend(graph: PoiGraph, trip: Sequence[int],
     of them, or None to stop. Each unvisited vertex's cheapest insertion is
     carried by `after_insert`, and rescanned only when its lower bound fits."""
     trip = list(trip)
-    cost = graph.trip_cost(trip)
+    cost, limit = graph.trip_cost(trip), graph.limit
+    visited = set(trip)
     # unvisited vertex -> (pos, delta) of its cheapest insertion, in ascending order
-    best = {v: cheapest_insertion(graph, trip, v) for v in graph.interior() if v not in trip}
+    best = cheapest_insertions(graph, trip, [v for v in graph.interior() if v not in visited])
     while best:
         options = []
         for w, (pos, delta) in best.items():
-            if within_budget(cost + delta, graph.budget):
-                if pos == 0:
-                    pos, delta = best[w] = cheapest_insertion(graph, trip, w)
-                    if not within_budget(cost + delta, graph.budget):
-                        continue
+            if pos == 0 and cost + delta <= limit:
+                pos, delta = best[w] = cheapest_insertion(graph, trip, w)
+            if cost + delta <= limit:
                 options.append((w, pos, delta))
         picked = choose(trip, options)
         if picked is None:
@@ -213,7 +222,7 @@ def _choose_highest_potential(graph: PoiGraph):
     def choose(cur, opts):
         if not opts:
             return None
-        cost = graph.trip_cost(cur)
+        cost, limit = graph.trip_cost(cur), graph.limit
         best = None
         insertions = {w: (w_pos, w_delta) for w, w_pos, w_delta in opts}
         gains = {w: graph.gain(w, cur[1:-1]) for w in insertions}
@@ -225,11 +234,10 @@ def _choose_highest_potential(graph: PoiGraph):
                     continue
                 if w_pos == 0:
                     _, delta_w = cheapest_insertion(graph, candidate, w)
-                if not within_budget(cost + delta + delta_w, graph.budget):
-                    continue
-                key = (gains[v] + gains[w] + graph.eprofit[v][w], -v)
-                if best is None or key > best[0]:
-                    best = (key, (v, pos, delta))
+                if cost + delta + delta_w <= limit:
+                    key = (gains[v] + gains[w] + graph.eprofit[v][w], -v)
+                    if best is None or key > best[0]:
+                        best = (key, (v, pos, delta))
         if best is not None:
             return best[1]
         # no feasible pair: fall back to the single best profit insertion
@@ -313,20 +321,19 @@ class _PivotDistances(dict):
         return dist
 
 
-def build(graph: PoiGraph, trip: Sequence[int], operator: str,
-          rng: np.random.Generator,
+def build(graph: PoiGraph, trip: Sequence[int], operator: str, pivot: int | None,
           similarity: _PivotDistances | None = None) -> list[int]:
     """Insert unvisited vertices (cheapest position each) per the operator's
     rule until no single insertion fits. `most_similarity` orders them by
-    their `similarity` distance from a random pivot of the trip, by edge cost
-    if None."""
+    their `similarity` distance from `pivot`, a vertex of the trip, by edge
+    cost if None; the other operators ignore `pivot`. Nothing is drawn at
+    random, so the result is a function of the arguments."""
     trip = list(trip)
     if operator == "most_profit":
         return greedy_extend(graph, trip, _choose_most_profit(graph))
     if operator == "least_cost":
         return greedy_extend(graph, trip, _choose_least_cost(graph))
     if operator == "most_similarity":
-        pivot = trip[int(rng.integers(len(trip)))]
         if similarity is None:
             similarity = _PivotDistances(graph, None)
         dist = similarity[pivot]
@@ -404,9 +411,18 @@ def classify_scenario(accepted: bool, score_new: float, score_cur: float,
 def run_alns(graph: PoiGraph, config: AlnsConfig | None = None,
              model: EmbeddingModel | None = None,
              collect_trace: bool = False) -> AlnsResult:
-    """Multi-run ALNS (seeded, deterministic); returns the best trip found."""
+    """Multi-run ALNS (seeded, deterministic); returns the best trip found.
+
+    A repair (`build`, then `local_search`) draws nothing at random, so the
+    call keeps its results: `repaired` maps (build operator, pivot, *partial
+    trip) to the repaired trip and its objective, and `polished` maps each
+    built trip to the same, so that 2-opt, the feasibility check and the
+    objective run once per distinct built trip. Each holds at most one entry
+    per iteration, and lives only as long as the call."""
     config = config or AlnsConfig()
     similarity = _PivotDistances(graph, model)
+    repaired: dict[tuple, tuple[tuple[int, ...], float]] = {}
+    polished: dict[tuple[int, ...], tuple[tuple[int, ...], float]] = {}
     pool = init_pool(graph, config.pool_size)
     global_trip, global_score = pool.best()
     trace: list[dict] = []
@@ -428,12 +444,22 @@ def run_alns(graph: PoiGraph, config: AlnsConfig | None = None,
                 # costs that break the triangle inequality can make a removal
                 # dearer; build from the current trip, which fits
                 partial = current
-            candidate = build(graph, partial, b_op, rng, similarity)
-            candidate = local_search(graph, candidate)
-            verdict = graph.feasible(candidate)
-            if not verdict.ok:
-                raise RuntimeError(f"ALNS produced an infeasible trip: {verdict.reason}")
-            score_new = graph.trip_objective(candidate)
+            pivot = (partial[int(rng.integers(len(partial)))]
+                     if b_op == "most_similarity" else None)
+            key = (b_op, pivot, *partial)
+            if key not in repaired:
+                built = tuple(build(graph, partial, b_op, pivot, similarity))
+                if built not in polished:
+                    trip = local_search(graph, built)
+                    verdict = graph.feasible(trip)
+                    if not verdict.ok:
+                        raise RuntimeError(f"ALNS produced an infeasible trip: {verdict.reason}")
+                    # 2-opt mostly returns the built trip: hold one tuple for both
+                    trip = tuple(trip)
+                    polished[built] = (built if trip == built else trip,
+                                       graph.trip_objective(trip))
+                repaired[key] = polished[built]
+            candidate, score_new = repaired[key]
             accepted = sa_accept(score_new, score_cur, temp, rng)
             scenario = classify_scenario(accepted, score_new, score_cur,
                                          global_score, run_score)

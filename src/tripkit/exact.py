@@ -138,6 +138,10 @@ def write_lp(model: IlpModel, sink: io.TextIOBase):
     sink.write("End\n")
 
 
+# Keys the stop-set memo holds at most: 154 bytes each, so about 73 MiB at the cap
+MEMO_CAP = 500_000
+
+
 @dataclass
 class SolveResult:
     trip: list[int]
@@ -149,10 +153,14 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
     """Depth-first branch and bound over paths from the start vertex.
 
     Pruning uses (i) reachability of the end vertex within the remaining
-    budget and (ii) an admissible bound: current objective plus the top-m
+    budget, (ii) an admissible bound: current objective plus the top-m
     remaining vertex profits and top pair profits, with m capped by
-    remaining budget over the cheapest edge cost. Ties break to the
-    lexicographically smallest vertex sequence.
+    remaining budget over the cheapest edge cost, and (iii) a memo of stop
+    sets: a path whose interior stops and last vertex an earlier path
+    reached at no greater cost is dropped, since the objective depends only
+    on the stops and every completion open to it was open to the earlier,
+    lexicographically smaller path. Ties break to the lexicographically
+    smallest vertex sequence.
     """
     n = graph.n
     start, end = graph.start, graph.end
@@ -194,8 +202,16 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
         bound += sum(pair_profits[:take])
         return bound
 
-    def dfs(v: int, path_interior: list[int], used: set[int], path_cost: float, obj: float):
+    # (interior stops as a bitmask, last vertex) -> least cost of a path seen there
+    memo: dict[tuple[int, int], float] = {}
+
+    def dfs(v: int, path_interior: list[int], mask: int, path_cost: float, obj: float):
         nonlocal best_obj, best_trip, nodes
+        seen = memo.get((mask, v))
+        if seen is not None and path_cost >= seen:
+            return
+        if seen is not None or len(memo) < MEMO_CAP:
+            memo[mask, v] = path_cost
         nodes += 1
         row = cost[v]
         # close the path at the end vertex if possible
@@ -203,7 +219,7 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
             trip = [start, *path_interior, end]
             if better(obj, trip, best_obj, best_trip):
                 best_obj, best_trip = obj, trip
-        remaining = [r for r in interior if r not in used]
+        remaining = [r for r in interior if not mask >> r & 1]
         # prune unless the bound beats the best; a tie counts as not better
         if best_trip is not None and not better(
                 upper_bound(obj, path_interior, remaining, budget - path_cost),
@@ -214,9 +230,9 @@ def solve_exact(graph: PoiGraph) -> SolveResult | None:
             others = [x for x in remaining if x != r]
             if not within_budget(new_cost + completion_lb(r, others), budget):
                 continue
-            dfs(r, path_interior + [r], used | {r}, new_cost, obj + graph.gain(r, path_interior))
+            dfs(r, path_interior + [r], mask | 1 << r, new_cost, obj + graph.gain(r, path_interior))
 
-    dfs(start, [], set(), graph.start_visit_cost, 0.0)
+    dfs(start, [], 0, graph.start_visit_cost, 0.0)
     if best_trip is None:
         return None
     return SolveResult(best_trip, graph.trip_objective(best_trip), nodes)

@@ -10,11 +10,17 @@ from .checkins import TimeCostModel, UnknownPoiError
 from .scoring import Query, ScoreContext
 
 
+def budget_limit(budget: float) -> float:
+    """The most a trip may cost under `budget`. A running total and a re-summed
+    trip cost round differently (by ~1e-13 s); the relative slack of 1e-10
+    absorbs that, so a trip whose cost equals its budget fits however its cost
+    was added up."""
+    return budget + 1e-10 * abs(budget)
+
+
 def within_budget(cost: float, budget: float) -> bool:
-    """The one budget rule. A running total and a re-summed trip cost round
-    differently (by ~1e-13 s); the relative slack of 1e-10 absorbs that, so a
-    trip whose cost equals its budget fits however its cost was added up."""
-    return cost <= budget + 1e-10 * abs(budget)
+    """The one budget rule: `cost` is at most `budget_limit(budget)`."""
+    return cost <= budget_limit(budget)
 
 
 def better(obj: float, trip: list[int], best_obj: float,
@@ -42,8 +48,10 @@ class PoiGraph:
     Vertex profits `vprofit` are query closeness (0 at the endpoints), edge
     profits `eprofit` pairwise similarity, edge costs `cost` = visit time of
     the target plus transit, and `cost_in` its transpose (the costs into each
-    vertex). Any n x n input (lists or arrays) is stored as plain lists of
-    floats, which the solvers index in their inner loops.
+    vertex). `limit` is `budget_limit(budget)`, held for the solvers' inner
+    loops, which compare a cost with it as `within_budget` does. Any n x n
+    input (lists or arrays) is stored as plain lists of floats, which the
+    solvers index in their inner loops.
     """
 
     def __init__(self, poi_ids: Sequence[str], vprofit: Sequence[float],
@@ -56,6 +64,7 @@ class PoiGraph:
         self.cost = [[float(c) for c in row] for row in cost]
         self.cost_in = [list(col) for col in zip(*self.cost)]  # cost_in[v][a] == cost[a][v]
         self.budget = float(budget)
+        self.limit = budget_limit(self.budget)
         self.start_visit_cost = float(start_visit_cost)
         if self.n < 2:
             raise ValueError("graph needs at least start and end vertices")

@@ -4,7 +4,9 @@ only tests call.
 The ALNS part is the straightforward form of the build and 2-opt layers: it
 rescans every gap for every vertex at every insertion and re-sums every 2-opt
 segment. `tripkit.alns` carries that state between steps instead, and
-`test_oracles.py` checks that both give the same lists, bit for bit.
+`test_oracles.py` checks that both give the same lists, bit for bit. The
+memo-free `run_alns` builds, 2-opts and scores every iteration's trip
+afresh, where `tripkit.alns.run_alns` reuses the repairs it has already made.
 
 The embedding part is the BPR trainer on dicts of vectors keyed by id: each
 step sums the context vector POI by POI, and each observation rebuilds the
@@ -22,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+import tripkit.alns as alns
 import tripkit.embedding as embedding
 from tripkit.checkins import Trip, UnknownPoiError
 from tripkit.embedding import EmbeddingModel, TrainConfig, init_model, sigmoid
@@ -144,6 +147,59 @@ class FreshPivotDistances:
 
     def __getitem__(self, pivot: int) -> dict[int, float]:
         return similarity_distances(self.graph, self.model, pivot)
+
+
+def run_alns(graph: PoiGraph, config: alns.AlnsConfig | None = None,
+             model: EmbeddingModel | None = None) -> alns.AlnsResult:
+    """`tripkit.alns.run_alns` without its memos: every iteration builds,
+    2-opts, checks and scores its trip afresh. The `most_similarity` pivot is
+    drawn where `build` drew it before it took the pivot as an argument."""
+    config = config or alns.AlnsConfig()
+    similarity = alns._PivotDistances(graph, model)
+    pool = alns.init_pool(graph, config.pool_size)
+    global_trip, global_score = pool.best()
+    trace: list[dict] = []
+    for run in range(config.runs):
+        rng = np.random.default_rng(config.rng_seed + run)
+        current = list(pool.select(rng))
+        score_cur = graph.trip_objective(current)
+        run_trip, run_score = list(current), score_cur
+        temp = config.temperature
+        d_weights = {op: 1.0 for op in alns.DESTROY_OPS}
+        b_weights = {op: 1.0 for op in alns.BUILD_OPS}
+        for it in range(config.iterations):
+            d_op = alns.roulette_select(d_weights, rng)
+            b_op = alns.roulette_select(b_weights, rng)
+            partial = alns.destroy(graph, current, d_op, config, rng)
+            if not within_budget(graph.trip_cost(partial), graph.budget):
+                partial = current
+            pivot = None
+            if b_op == "most_similarity":
+                pivot = partial[int(rng.integers(len(partial)))]
+            candidate = alns.local_search(graph, alns.build(graph, partial, b_op, pivot,
+                                                            similarity))
+            verdict = graph.feasible(candidate)
+            if not verdict.ok:
+                raise RuntimeError(f"ALNS produced an infeasible trip: {verdict.reason}")
+            score_new = graph.trip_objective(candidate)
+            accepted = alns.sa_accept(score_new, score_cur, temp, rng)
+            scenario = alns.classify_scenario(accepted, score_new, score_cur,
+                                              global_score, run_score)
+            if accepted:
+                current, score_cur = candidate, score_new
+                if score_cur > run_score:
+                    run_trip, run_score = list(current), score_cur
+                if score_cur > global_score:
+                    global_trip, global_score = tuple(current), score_cur
+            temp *= config.cooling
+            pi = config.scores[scenario]
+            d_weights[d_op] = alns.update_weight(d_weights[d_op], pi, config.reaction)
+            b_weights[b_op] = alns.update_weight(b_weights[b_op], pi, config.reaction)
+            trace.append({"run": run, "iter": it, "destroy_op": d_op,
+                          "build_op": b_op, "score": score_new,
+                          "accepted": accepted, "temp": temp})
+        pool.insert(run_trip, run_score)
+    return alns.AlnsResult(list(global_trip), global_score, trace)
 
 
 # --- trip score straight from the model ---------------------------------------

@@ -15,6 +15,7 @@ from tripkit.graph import PoiGraph
 from conftest import random_graph
 from lp_reader import models_equal, read_lp
 from oracles import check_assignment, encode_trip, enumerate_all, objective_value
+from test_oracles import tied_graph
 
 
 def solve_with_highs(model: IlpModel) -> tuple[float, dict[str, float]]:
@@ -292,6 +293,44 @@ class TestSolveExact:
             out = solve_exact(g)
             assert g.feasible(out.trip).ok
             assert out.objective == pytest.approx(g.trip_objective(out.trip))
+
+
+# What the solver returned before it had the stop-set memo, on the graphs of
+# test_acceptance.py::test_runtime_scaling: (trip, objective bits, nodes)
+SCALING_ANSWERS = {
+    7000: ([0, 12, 9, 10, 5, 4, 2, 11, 14], "0x1.21206f8749519p+3", 354879),
+    7001: ([0, 2, 3, 11, 8, 12, 13, 1, 14], "0x1.3067327a28e83p+3", 639548),
+    7002: ([0, 8, 2, 6, 1, 5, 9, 7, 14], "0x1.0d84d5bfa86c1p+3", 404862),
+    7003: ([0, 2, 5, 4, 13, 6, 9, 11, 14], "0x1.2c20a23b6b006p+3", 699640),
+    7004: ([0, 3, 12, 7, 11, 2, 5, 6, 14], "0x1.3447466227dbfp+3", 515777),
+    7005: ([0, 8, 9, 7, 3, 2, 5, 11, 1, 14], "0x1.681ec61adf24bp+3", 709148),
+    7006: ([0, 7, 2, 10, 11, 13, 9, 3, 14], "0x1.02de9487e65ddp+3", 481814),
+    7007: ([0, 4, 13, 2, 1, 7, 5, 10, 6, 14], "0x1.4413d1fa17bdap+3", 1114646),
+    7008: ([0, 3, 1, 8, 4, 9, 7, 12, 14], "0x1.232bf8ac708bap+3", 485010),
+    7009: ([0, 6, 7, 8, 13, 3, 2, 11, 14], "0x1.3016a3081ed94p+3", 346355),
+}
+
+
+class TestStopSetMemo:
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_matches_enumeration_to_the_bit(self, n):
+        # random graphs from short to long trips, and a graph whose costs and
+        # profits tie, so that two paths to one stop set often cost the same
+        graphs = [tied_graph(600 + n, n)]
+        graphs += [random_graph(500 + 10 * n + k, n, interior_target=target)
+                   for k, target in enumerate((2, n // 2, n)[:3 if n < 11 else 1])]
+        for g in graphs:
+            a, b = solve_exact(g), enumerate_all(g)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.trip, float(a.objective).hex()) == (b.trip, float(b.objective).hex())
+
+    @pytest.mark.parametrize("seed", sorted(SCALING_ANSWERS))
+    def test_scaling_graphs_keep_their_answers(self, seed):
+        trip, objective, nodes = SCALING_ANSWERS[seed]
+        out = solve_exact(random_graph(seed, n=15, interior_target=6))
+        assert (out.trip, out.objective.hex()) == (trip, objective)
+        assert out.nodes <= nodes
 
 
 def budget_edge_graph(seed: int) -> PoiGraph:

@@ -2,6 +2,7 @@
 references in `oracles.py`: the same lists, the same floats, the same RNG
 draws and the same model files."""
 
+import inspect
 import io
 import itertools
 
@@ -92,6 +93,15 @@ def test_cheapest_insertion(name, graph, model):
 
 
 @pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
+def test_cheapest_insertions(name, graph, model):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        trip = random_trip(graph, rng)
+        assert alns.cheapest_insertions(graph, trip, range(graph.n)) == \
+            {v: oracles.cheapest_insertion(graph, trip, v) for v in range(graph.n)}
+
+
+@pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
 def test_trip_objective_of_every_order(name, graph, model):
     # the objective is a function of the stop set: every order of up to five
     # stops gets the bits of the sorted order
@@ -159,14 +169,15 @@ def test_build_operators(name, graph, model, references):
         trip = random_trip(graph, rng)
         if graph.feasible(trip).ok:
             partials.append(trip)
-    runs = [(p, op, seed) for p in partials for op in alns.BUILD_OPS for seed in range(2)]
+    # most_similarity from every pivot of the trip; the others ignore the pivot
+    runs = [(p, op, pivot) for p in partials for op in alns.BUILD_OPS
+            for pivot in (p if op == "most_similarity" else [None])]
 
     def outputs():
         results = []
-        for partial, op, seed in runs:
-            op_rng = np.random.default_rng(seed)
+        for partial, op, pivot in runs:
             similarity = alns._PivotDistances(graph, model)
-            results.append((alns.build(graph, partial, op, op_rng, similarity), op_rng.random()))
+            results.append(alns.build(graph, partial, op, pivot, similarity))
         return results
 
     new = outputs()
@@ -191,13 +202,23 @@ def test_references_reach_build_and_run_alns(monkeypatch, references):
     references()
     graph = random_graph(7, 8)
     direct = [graph.start, graph.end]
-    alns.build(graph, direct, "highest_potential", np.random.default_rng(0))
+    alns.build(graph, direct, "highest_potential", None)
     assert calls == {"greedy_extend": 1, "choose_highest_potential": 1,
                      "local_search": 0, "FreshPivotDistances": 0}
-    alns.build(graph, direct, "most_similarity", np.random.default_rng(0))
+    alns.build(graph, direct, "most_similarity", graph.end)
     assert calls["greedy_extend"] == 2 and calls["FreshPivotDistances"] == 1
+    # run_alns 2-opts each distinct trip that build returns, once
+    built = set()
+
+    def recording(*args):
+        trip = build(*args)
+        built.add(tuple(trip))
+        return trip
+
+    build = alns.build
+    monkeypatch.setattr(alns, "build", recording)
     alns.run_alns(graph, alns.AlnsConfig(runs=1, iterations=3))
-    assert calls["local_search"] == 3 and calls["FreshPivotDistances"] == 2
+    assert calls["local_search"] == len(built) >= 1 and calls["FreshPivotDistances"] == 2
 
 
 @pytest.mark.parametrize("name,graph,model", INSTANCES, ids=IDS)
@@ -229,6 +250,42 @@ def test_run_alns_same_trace(name, graph, model, references):
     ref = alns.run_alns(graph, config, model, collect_trace=True)
     assert (new.trip, new.score) == (ref.trip, ref.score)
     assert new.trace == ref.trace
+
+
+# the graphs of test_acceptance.py::test_runtime_scaling, run with the default config
+SCALING = [(f"scaling{7000 + k}", random_graph(7000 + k, n=15, interior_target=6), None)
+           for k in range(10)]
+
+
+def same_run(new: alns.AlnsResult, ref: alns.AlnsResult) -> bool:
+    """The same trip, the same score bits and the same trace."""
+    return ((new.trip, float(new.score).hex(), new.trace)
+            == (ref.trip, float(ref.score).hex(), ref.trace))
+
+
+MEMO_CASES = ([(name, graph, model, alns.AlnsConfig(runs=2, iterations=60))
+               for name, graph, model in ALNS_INSTANCES]
+              + [(name, graph, model, alns.AlnsConfig()) for name, graph, model in SCALING])
+
+
+@pytest.mark.parametrize("name,graph,model,config", MEMO_CASES, ids=[c[0] for c in MEMO_CASES])
+def test_run_alns_equals_the_memo_free_loop(name, graph, model, config):
+    new = alns.run_alns(graph, config, model, collect_trace=True)
+    assert same_run(new, oracles.run_alns(graph, config, model))
+
+
+def test_a_memo_keyed_without_the_pivot_fails():
+    # the comparison above must catch a repair memo that forgets the pivot
+    source = inspect.getsource(alns.run_alns)
+    key = "key = (b_op, pivot, *partial)"
+    assert source.count(key) == 1
+    namespace = dict(vars(alns))
+    exec("from __future__ import annotations\n" + source.replace(key, "key = (b_op, *partial)"),
+         namespace)
+    pivotless = namespace["run_alns"]
+    assert any(not same_run(pivotless(graph, None, model, collect_trace=True),
+                            oracles.run_alns(graph, None, model))
+               for _, graph, model in SCALING[:2])
 
 
 # --- the trainer ----------------------------------------------------------------
