@@ -15,15 +15,17 @@ from .checkins import (DEFAULT_TRIP_WINDOW, DEFAULT_WALKING_SPEED, CheckinError,
                        compute_visit_times, corpus_stats, extract_trips, impacted_user_ratio,
                        independent_pair_ratio, ingest_checkins, load_distance_matrix, load_pois)
 from .embedding import MODES, EmbeddingModel, TrainConfig, train
-from .evaluation import evaluate
-from .exact import build_ilp, solve_exact, write_lp
-from .graph import build_graph, reachable_candidates
-from .scoring import Query, ScoreContext, check_zpair, compute_zpair
+from .evaluation import evaluate, query_graph
+from .exact import StateCapError, build_ilp, solve_exact, write_lp
+# perfbench/spans.py wraps these two here; recommend reaches them through query_graph
+from .graph import build_graph, reachable_candidates  # noqa: F401
+from .scoring import Query, check_zpair, compute_zpair
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+EXIT_STATE_CAP = 5
 
 
 class CliError(Exception):
@@ -176,11 +178,8 @@ def _time_cost_model(args, trips, pois) -> TimeCostModel:
 
 
 def _query_graph(args, model, trips, pois):
-    tcm = _time_cost_model(args, trips, pois)
     query = Query(args.user, args.start, args.end, args.budget)
-    ctx = ScoreContext(model, query)
-    candidates = reachable_candidates(query, tcm, model.poi_ids)
-    return build_graph(ctx, query, tcm, candidates)
+    return query_graph(model, query, _time_cost_model(args, trips, pois))
 
 
 def cmd_recommend(args) -> int:
@@ -193,7 +192,10 @@ def cmd_recommend(args) -> int:
     if not graph.feasible(direct).ok:
         raise CliError("no feasible trip", EXIT_INFEASIBLE)
     if args.solver == "exact":
-        result = solve_exact(graph)  # not None: the direct trip fits
+        try:
+            result = solve_exact(graph)  # not None: the direct trip fits
+        except StateCapError as exc:
+            raise CliError(f"{exc}; --solver alns answers it", EXIT_STATE_CAP)
         trip, score = result.trip, result.objective
     else:
         result = run_alns(graph, config, model, collect_trace=bool(args.trace))

@@ -11,8 +11,8 @@ import numpy as np
 
 from .alns import AlnsConfig, greedy_extend, run_alns
 from .checkins import TimeCostModel, Trip, UnknownPoiError, compute_visit_times
-from .embedding import TrainConfig, train
-from .exact import solve_exact
+from .embedding import EmbeddingModel, TrainConfig, train
+from .exact import StateCapError, solve_exact
 from .graph import PoiGraph, build_graph, reachable_candidates
 from .scoring import Query, ScoreContext
 
@@ -73,6 +73,16 @@ def make_folds(trips: Sequence[Trip], pois=None) -> list[Fold]:
     if not folds:
         raise ValueError("no trips with at least 3 POIs")
     return folds
+
+
+def query_graph(model: EmbeddingModel, query: Query, tcm: TimeCostModel) -> PoiGraph:
+    """The query's graph over the model's POIs that `reachable_candidates`
+    keeps, scored by the model for this query: what `evaluate` builds for
+    each fold and `tripkit recommend` for its query. (It calls
+    `reachable_candidates` and `build_graph` through this module's names,
+    which `perfbench/spans.py` wraps.)"""
+    ctx = ScoreContext(model, query)
+    return build_graph(ctx, query, tcm, reachable_candidates(query, tcm, model.poi_ids))
 
 
 def baseline_random(graph: PoiGraph, rng: np.random.Generator) -> list[int]:
@@ -170,9 +180,7 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
             model = cached_model or train(list(fold.training), train_config)
             counts = visit_count_by_poi(list(training))
             tcm = TimeCostModel(compute_visit_times(list(training)), pois=pois or {})
-            ctx = ScoreContext(model, fold.query)  # a shared model keeps its first fold's z_pair
-            candidates = reachable_candidates(fold.query, tcm, model.poi_ids)
-            graph = build_graph(ctx, fold.query, tcm, candidates)
+            graph = query_graph(model, fold.query, tcm)  # a shared model keeps its first z_pair
             rows = []  # kept only if every solver completes the fold
             for name in solvers:
                 t0 = time.perf_counter()
@@ -196,7 +204,7 @@ def evaluate(trips: Sequence[Trip], solvers: Sequence[str],
                              "precision": m.precision, "f1": m.f1, "recall_s": m.recall_s,
                              "precision_s": m.precision_s, "f1_s": m.f1_s, "ms": ms})
             report.rows.extend(rows)
-        except (ValueError, UnknownPoiError, RuntimeError, FloatingPointError,
+        except (ValueError, UnknownPoiError, StateCapError, RuntimeError, FloatingPointError,
                 OverflowError) as exc:  # what the pipeline raises on purpose
             report.errors.append({"fold_id": fold_id, "error": str(exc)})
     return report

@@ -1,5 +1,5 @@
 """Exact solving: the linearized integer program, its LP-format text export,
-and a branch-and-bound optimizer."""
+and an optimizer by a Held-Karp dynamic program over stop sets."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .graph import PoiGraph, better, within_budget
+from .graph import PoiGraph, better
 
 
 @dataclass
@@ -138,8 +138,15 @@ def write_lp(model: IlpModel, sink: io.TextIOBase):
     sink.write("End\n")
 
 
-# Keys the stop-set memo holds at most: 154 bytes each, so about 73 MiB at the cap
-MEMO_CAP = 500_000
+# States the exact solver holds at most: about 115 bytes each, so about 220 MiB at the cap
+STATE_CAP = 2_000_000
+# Nodes the search for an order of the whole interior visits before it leaves
+# the graph to the stop-set program: about 0.2 s at |V| = 15
+WHOLE_SEARCH_CAP = 20_000
+
+
+class StateCapError(Exception):
+    """The exact solver needed more than `STATE_CAP` states for a graph."""
 
 
 @dataclass
@@ -149,90 +156,139 @@ class SolveResult:
     nodes: int = 0
 
 
-def solve_exact(graph: PoiGraph) -> SolveResult | None:
-    """Depth-first branch and bound over paths from the start vertex.
+def reach_costs(graph: PoiGraph) -> list[float]:
+    """The start visit plus the least cost from the start to each vertex over
+    `graph.cost` (Dijkstra): no trip reaches a vertex for less, whatever its
+    stops, even where a detour costs less than the direct leg."""
+    cost, n = graph.cost, graph.n
+    reach = [math.inf] * n
+    reach[graph.start] = graph.start_visit_cost
+    todo = set(range(n))
+    while todo:
+        u = min(todo, key=reach.__getitem__)
+        todo.remove(u)
+        row, ru = cost[u], reach[u]
+        for v in todo:
+            if ru + row[v] < reach[v]:
+                reach[v] = ru + row[v]
+    return reach
 
-    Pruning uses (i) reachability of the end vertex within the remaining
-    budget, (ii) an admissible bound: current objective plus the top-m
-    remaining vertex profits and top pair profits, with m capped by
-    remaining budget over the cheapest edge cost, and (iii) a memo of stop
-    sets: a path whose interior stops and last vertex an earlier path
-    reached at no greater cost is dropped, since the objective depends only
-    on the stops and every completion open to it was open to the earlier,
-    lexicographically smaller path. Ties break to the lexicographically
-    smallest vertex sequence.
-    """
-    n = graph.n
-    start, end = graph.start, graph.end
-    cost, vprofit, eprofit, budget = graph.cost, graph.vprofit, graph.eprofit, graph.budget
-    if not within_budget(graph.start_visit_cost + cost[start][end], budget):
-        return None
+
+def whole_interior_order(graph: PoiGraph) -> tuple[list[int] | None, int]:
+    """The lexicographically smallest order of every interior vertex that fits,
+    and the nodes visited: a depth-first search in that order. A prefix is
+    dropped once its cost, plus the cheapest way into each vertex still to
+    enter from a vertex still to visit, exceeds the budget. None when no order
+    fits, or after `WHOLE_SEARCH_CAP` nodes."""
+    cost, limit, end = graph.cost, graph.limit, graph.end
     interior = list(graph.interior())
-    min_edge = min((cost[i][j] for i in range(n) for j in range(n) if i != j), default=0.0)
-    min_into_end = min((cost[i][end] for i in range(n) if i != end), default=0.0)
-
-    best_obj = -math.inf
-    best_trip: list[int] | None = None
+    stack = [([graph.start], graph.start_visit_cost)]
     nodes = 0
-
-    def completion_lb(v: int, remaining: list[int]) -> float:
-        direct = cost[v][end]
-        if not remaining:
-            return direct
-        row = cost[v]
-        via = min(row[r] for r in remaining) + min_into_end
-        return min(direct, via)
-
-    def upper_bound(cur_obj: float, path_interior: list[int],
-                    remaining: list[int], budget_left: float) -> float:
-        if not remaining:
-            return cur_obj
-        m = min(len(remaining), int(budget_left // min_edge)) if min_edge > 0 else len(remaining)
-        if m <= 0:
-            return cur_obj
-        vps = sorted((vprofit[r] for r in remaining), reverse=True)[:m]
-        bound = cur_obj + sum(vps)
-        pair_profits = []
-        for a_idx, a in enumerate(remaining):
-            row = eprofit[a]
-            pair_profits.extend(row[b] for b in remaining[a_idx + 1:])
-            pair_profits.extend(row[b] for b in path_interior)
-        take = m * (m - 1) // 2 + m * len(path_interior)
-        pair_profits.sort(reverse=True)
-        bound += sum(pair_profits[:take])
-        return bound
-
-    # (interior stops as a bitmask, last vertex) -> least cost of a path seen there
-    memo: dict[tuple[int, int], float] = {}
-
-    def dfs(v: int, path_interior: list[int], mask: int, path_cost: float, obj: float):
-        nonlocal best_obj, best_trip, nodes
-        seen = memo.get((mask, v))
-        if seen is not None and path_cost >= seen:
-            return
-        if seen is not None or len(memo) < MEMO_CAP:
-            memo[mask, v] = path_cost
+    while stack and nodes < WHOLE_SEARCH_CAP:
+        trip, spent = stack.pop()
         nodes += 1
-        row = cost[v]
-        # close the path at the end vertex if possible
-        if within_budget(path_cost + row[end], budget):
-            trip = [start, *path_interior, end]
-            if better(obj, trip, best_obj, best_trip):
-                best_obj, best_trip = obj, trip
-        remaining = [r for r in interior if not mask >> r & 1]
-        # prune unless the bound beats the best; a tie counts as not better
-        if best_trip is not None and not better(
-                upper_bound(obj, path_interior, remaining, budget - path_cost),
-                best_trip, best_obj, best_trip):
-            return
-        for r in remaining:
-            new_cost = path_cost + row[r]
-            others = [x for x in remaining if x != r]
-            if not within_budget(new_cost + completion_lb(r, others), budget):
-                continue
-            dfs(r, path_interior + [r], mask | 1 << r, new_cost, obj + graph.gain(r, path_interior))
+        rest = sorted(set(interior) - set(trip), reverse=True)
+        out = cost[trip[-1]]
+        if not rest:
+            if spent + out[end] <= limit:
+                return trip + [end], nodes
+            continue
+        into = {v: min((cost[u][v] for u in rest if u != v), default=0.0)
+                for v in [*rest, end]}
+        entries = sum(into.values())
+        for j in rest:  # pushed largest first, so the smallest is searched first
+            if spent + out[j] + (entries - into[j]) <= limit:
+                stack.append((trip + [j], spent + out[j]))
+    return None, nodes
 
-    dfs(start, [], 0, graph.start_visit_cost, 0.0)
+
+def solve_exact(graph: PoiGraph) -> SolveResult | None:
+    """The best trip, by a backward Held-Karp dynamic program over interior stop
+    sets (Held & Karp 1962). The objective depends only on the stop set, so the
+    optimum is the best-scoring set whose cheapest order fits the budget.
+
+    With no negative profit, a trip through every interior vertex outscores
+    every other trip, which stops at a subset of its vertices, unless leaving
+    one vertex out costs less than rounding: `better` could count that as a
+    tie and pick the smaller set's trip. So when `whole_interior_order` finds
+    that trip, and leaving out any one vertex loses more than a relative 1e-9
+    (a thousand times `better`'s tie), it is the answer.
+
+    Otherwise `least[mask][j]` is the least cost from stop j, through the other
+    stops of mask, to the end vertex. It is built one set size at a time, and a
+    state is kept only while `reach_costs`[j] plus that cost fits
+    `graph.limit`: costs are >= 0, so a dropped state lies on no trip that
+    fits. `nodes` counts the search's nodes and the states kept; past
+    `STATE_CAP` states the solver raises `StateCapError`.
+
+    Each set's trip is its lexicographically smallest order that fits, read
+    greedily from `least`. The sets are scored with `trip_objective` and
+    compared with `better` in the order `tests/oracles.py::enumerate_all` meets
+    them (by size, then lexicographically), so ties break as they do there.
+    """
+    start, end, interior = graph.start, graph.end, list(graph.interior())
+    cost, limit = graph.cost, graph.limit
+    if any(c < 0.0 for row in cost for c in row):
+        raise ValueError("the exact solver needs edge costs >= 0")
+    profits = [graph.vprofit[u] for u in interior]
+    profits += [graph.eprofit[u][v] for u in interior for v in interior if u < v]
+    nodes = 0
+    if min(profits, default=0.0) >= 0.0:
+        whole, nodes = whole_interior_order(graph)
+        if whole is not None:
+            obj = graph.trip_objective(whole)
+            if not any(math.isclose(graph.trip_objective([u for u in whole if u != v]), obj,
+                                    rel_tol=1e-9) for v in interior):
+                return SolveResult(whole, obj, nodes)
+
+    reach = reach_costs(graph)
+    least: dict[int, dict[int, float]] = {0: {}}
+    levels = [[0]]
+    states = 0
+    while levels[-1]:
+        level = []
+        for mask in levels[-1]:
+            row = list(least[mask].items()) or [(end, 0.0)]  # a set of one goes to the end
+            for j in interior:
+                if mask >> j & 1:
+                    continue
+                out = cost[j]
+                b = min(out[i] + bi for i, bi in row)
+                if reach[j] + b <= limit:
+                    key = mask | 1 << j
+                    if key not in least:
+                        least[key] = {}
+                        level.append(key)
+                    least[key][j] = b
+                    states += 1
+            if states > STATE_CAP:
+                raise StateCapError(f"the exact solver needs more than {STATE_CAP:,} "
+                                    f"states for this {graph.n}-vertex graph")
+        levels.append(level)
+
+    def first_order(mask: int) -> list[int] | None:
+        """The lexicographically smallest order of mask's stops that fits."""
+        trip, spent = [start], graph.start_visit_cost
+        while mask:
+            row, out = least[mask], cost[trip[-1]]
+            j = next((j for j in sorted(row) if spent + out[j] + row[j] <= limit), None)
+            if j is None:
+                return None
+            spent += out[j]
+            trip.append(j)
+            mask ^= 1 << j
+        return trip + [end] if spent + cost[trip[-1]][end] <= limit else None
+
+    best_obj, best_trip = -math.inf, None
+    for level in levels:
+        for stops, mask in sorted(([v for v in interior if mask >> v & 1], mask)
+                                  for mask in level):
+            obj = graph.trip_objective([start, *stops, end])
+            # [start] sorts before every trip: could some order of these stops win?
+            if better(obj, [start], best_obj, best_trip):
+                trip = first_order(mask)
+                if trip is not None and better(obj, trip, best_obj, best_trip):
+                    best_obj, best_trip = obj, trip
     if best_trip is None:
         return None
-    return SolveResult(best_trip, graph.trip_objective(best_trip), nodes)
+    return SolveResult(best_trip, best_obj, nodes + states)

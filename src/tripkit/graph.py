@@ -25,10 +25,12 @@ def within_budget(cost: float, budget: float) -> bool:
 
 def better(obj: float, trip: list[int], best_obj: float,
            best_trip: list[int] | None) -> bool:
-    """The one tie rule between two trips. B&B sums objectives in path order,
-    so two orders of one stop set can differ by a few ulps: objectives within
-    a relative 1e-12 tie, and a tie goes to the lexicographically smaller trip;
-    otherwise the higher objective wins. Anything beats no trip."""
+    """The one tie rule between two trips: objectives within a relative 1e-12
+    tie, and a tie goes to the lexicographically smaller trip; otherwise the
+    higher objective wins. Anything beats no trip. Every order of one stop set
+    has the same objective bits, but two stop sets whose objectives are equal
+    in exact arithmetic add different terms and can differ by a few ulps; the
+    tie keeps rounding from choosing between them."""
     if best_trip is None:
         return True
     if math.isclose(obj, best_obj, rel_tol=1e-12):

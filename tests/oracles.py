@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import lil_matrix
 
 import tripkit.alns as alns
 import tripkit.embedding as embedding
@@ -321,6 +323,37 @@ def encode_trip(model: IlpModel, trip: Sequence[int]) -> dict[str, float]:
             assignment[pvar(i)] = 2.0
     return assignment
 
+
+
+def solve_with_highs(model: IlpModel) -> tuple[float, dict[str, float]]:
+    """Independent referee: hand the program to scipy's HiGHS MILP backend."""
+    variables = model.variables
+    index = {v: k for k, v in enumerate(variables)}
+    c = np.zeros(len(variables))
+    for v, coeff in model.objective.items():
+        c[index[v]] = -coeff  # milp minimizes
+    rows = lil_matrix((len(model.constraints), len(variables)))
+    lb = np.empty(len(model.constraints))
+    ub = np.empty(len(model.constraints))
+    for r, con in enumerate(model.constraints):
+        for v, coeff in con.coeffs.items():
+            rows[r, index[v]] = coeff
+        if con.sense == "<=":
+            lb[r], ub[r] = -np.inf, con.rhs
+        elif con.sense == ">=":
+            lb[r], ub[r] = con.rhs, np.inf
+        else:
+            lb[r] = ub[r] = con.rhs
+    var_lb = np.zeros(len(variables))
+    var_ub = np.ones(len(variables))
+    for v, (lo, hi) in model.bounds.items():
+        var_lb[index[v]], var_ub[index[v]] = lo, hi
+    res = milp(c, constraints=LinearConstraint(rows.tocsr(), lb, ub),
+               integrality=np.ones(len(variables)), bounds=Bounds(var_lb, var_ub))
+    assert res.success, res.message
+    values = {v: float(round(res.x[index[v]])) if v in model.binaries
+              else float(res.x[index[v]]) for v in variables}
+    return -res.fun, values
 
 # --- the BPR trainer on dicts ----------------------------------------------------
 

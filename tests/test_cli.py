@@ -10,6 +10,7 @@ import pytest
 
 import tripkit.alns
 import tripkit.cli
+import tripkit.exact
 import tripkit.scoring
 from tripkit.cli import load_corpus, main
 from tripkit.embedding import EmbeddingModel, TrainConfig, train
@@ -182,6 +183,16 @@ class TestRecommend:
         out = capsys.readouterr().out
         assert out.startswith("# solver=exact")
         float(out.split("score=")[1].split()[0])
+
+    def test_state_cap_exit_5(self, workspace, capsys, monkeypatch):
+        # at a budget of 4000 s the whole interior does not fit, and the
+        # stop-set program keeps about 150 states
+        monkeypatch.setattr(tripkit.exact, "STATE_CAP", 10)
+        assert main(["recommend", *query_flags(workspace, budget="4000"),
+                     "--solver", "exact"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: the exact solver needs more than 10 states")
+        assert err.count("\n") == 1
 
     def test_zpair_computed_once(self, workspace, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tripkit.evaluation
+import tripkit.exact
 import tripkit.scoring
 from tripkit.alns import AlnsConfig
 from tripkit.checkins import PoiVisit, TimeCostModel, Trip, compute_visit_times
@@ -320,6 +321,17 @@ class TestEvaluate:
                           alns_config=AlnsConfig(runs=1, iterations=10),
                           shared_model=True)
         assert report.rows, report.errors
+
+    def test_state_cap_is_a_failed_fold(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(tripkit.exact, "STATE_CAP", 0)
+        report = evaluate(small_corpus[:12], ["pop", "exact"], pois=poi_coords(small_corpus),
+                          train_config=TrainConfig(dim=3, max_iterations=2),
+                          shared_model=True)
+        assert report.errors
+        for error in report.errors:
+            assert error["error"].startswith("the exact solver needs more than 0 states")
+        failed = {e["fold_id"] for e in report.errors}
+        assert not failed & {r["fold_id"] for r in report.rows}
 
     def test_shared_model_computes_zpair_once(self, small_corpus, zpair_calls):
         report = evaluate(small_corpus, ["pop"], pois=poi_coords(small_corpus),

@@ -4,50 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import LinearConstraint, milp
-from scipy.sparse import lil_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tripkit.exact
 from tripkit.alns import AlnsConfig, run_alns
 from tripkit.evaluation import baseline_pop, baseline_random
-from tripkit.exact import (Constraint, IlpModel, build_ilp, pvar, solve_exact, write_lp,
-                           xpvar, xvar)
+from tripkit.exact import (StateCapError, build_ilp, pvar, solve_exact, write_lp, xpvar,
+                           xvar)
 from tripkit.graph import PoiGraph
 from conftest import random_graph
 from lp_reader import models_equal, read_lp
-from oracles import check_assignment, encode_trip, enumerate_all, objective_value
+from oracles import (check_assignment, encode_trip, enumerate_all, objective_value,
+                     solve_with_highs)
 from test_oracles import tied_graph
-
-
-def solve_with_highs(model: IlpModel) -> tuple[float, dict[str, float]]:
-    """Independent referee: hand the program to scipy's HiGHS MILP backend."""
-    variables = model.variables
-    index = {v: k for k, v in enumerate(variables)}
-    c = np.zeros(len(variables))
-    for v, coeff in model.objective.items():
-        c[index[v]] = -coeff  # milp minimizes
-    rows = lil_matrix((len(model.constraints), len(variables)))
-    lb = np.empty(len(model.constraints))
-    ub = np.empty(len(model.constraints))
-    for r, con in enumerate(model.constraints):
-        for v, coeff in con.coeffs.items():
-            rows[r, index[v]] = coeff
-        if con.sense == "<=":
-            lb[r], ub[r] = -np.inf, con.rhs
-        elif con.sense == ">=":
-            lb[r], ub[r] = con.rhs, np.inf
-        else:
-            lb[r] = ub[r] = con.rhs
-    var_lb = np.zeros(len(variables))
-    var_ub = np.ones(len(variables))
-    for v, (lo, hi) in model.bounds.items():
-        var_lb[index[v]], var_ub[index[v]] = lo, hi
-    res = milp(c, constraints=LinearConstraint(rows.tocsr(), lb, ub),
-               integrality=np.ones(len(variables)),
-               bounds=__import__("scipy.optimize", fromlist=["Bounds"]).Bounds(var_lb, var_ub))
-    assert res.success, res.message
-    values = {v: float(round(res.x[index[v]])) if v in model.binaries
-              else float(res.x[index[v]]) for v in variables}
-    return -res.fun, values
 
 
 class TestModelShape:
@@ -332,6 +302,161 @@ class TestStopSetMemo:
         assert (out.trip, out.objective.hex()) == (trip, objective)
         assert out.nodes <= nodes
 
+
+# What the solver returned before the stop-set program, on graphs whose whole
+# interior fits: random_graph(7000, n, interior_target=n) -> objective bits
+WHOLE_INTERIOR_OBJECTIVES = {
+    15: "0x1.748bbca9e18d3p+4",
+    18: "0x1.11c60b1e12797p+5",
+    25: "0x1.07af189da7273p+6",
+}
+
+
+def detour_graph(with_unreachable: bool) -> PoiGraph:
+    """s -> b costs 1000 but s -> a -> b costs 20, so b fits in the budget of 30
+    only after a. With `with_unreachable`, a vertex c that fits in no trip, so
+    that the whole interior does not fit and the stop-set program runs."""
+    far = 1000.0
+    if not with_unreachable:
+        return PoiGraph(["s", "a", "b", "e"], [0, 1, 1, 0], np.zeros((4, 4)),
+                        [[0, 10, far, 10], [0, 0, 10, 10], [0, 10, 0, 10], [0, 0, 0, 0]],
+                        30.0, 0.0)
+    return PoiGraph(["s", "a", "b", "c", "e"], [0, 1, 1, 1, 0], np.zeros((5, 5)),
+                    [[0, 10, far, far, 10], [0, 0, 10, far, 10], [0, 10, 0, far, 10],
+                     [0, far, far, 0, far], [0, 0, 0, far, 0]], 30.0, 0.0)
+
+
+def near_tie_graph(seed: int, tight: bool) -> PoiGraph:
+    """random_graph(seed, 7) whose whole interior fits, with vertex 3's profits
+    set to about zero: the whole set and the set without vertex 3 tie within
+    1e-12. With `tight`, the budget is the whole interior's cheapest cost, so
+    it fits only in an order other than the ascending one."""
+    g = random_graph(seed, 7, interior_target=7)
+    vprofit = list(g.vprofit)
+    vprofit[3] = 1e-14
+    eprofit = [list(row) for row in g.eprofit]
+    for v in range(g.n):
+        eprofit[3][v] = eprofit[v][3] = 0.0
+    budget = g.budget
+    if tight:
+        budget = min(g.trip_cost([g.start, *order, g.end])
+                     for order in itertools.permutations(g.interior()))
+    return PoiGraph(g.poi_ids, vprofit, eprofit, g.cost, budget, g.start_visit_cost)
+
+
+finite_cost = st.one_of(st.integers(0, 20).map(float), st.floats(0.0, 1000.0))
+finite_profit = st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0.0, 1.0))
+
+
+@st.composite
+def any_cost_graph(draw) -> PoiGraph:
+    """Up to 7 vertices with any costs >= 0 (the triangle inequality need not
+    hold) and any profits >= 0, round values included so that sets tie."""
+    n = draw(st.integers(2, 7))
+    cost = [[draw(finite_cost) for _ in range(n)] for _ in range(n)]
+    eprofit = [[draw(finite_profit) for _ in range(n)] for _ in range(n)]
+    vprofit = [0.0] + [draw(finite_profit) for _ in range(n - 2)] + [0.0]
+    budget = draw(st.one_of(st.integers(0, 60).map(float), st.floats(0.0, 3000.0)))
+    return PoiGraph([f"p{i}" for i in range(n)], vprofit, eprofit, cost, budget,
+                    draw(finite_cost))
+
+
+def same_answer(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return (a.trip, float(a.objective).hex()) == (b.trip, float(b.objective).hex())
+
+
+class TestStopSetProgram:
+    @pytest.mark.parametrize("with_unreachable, trip", [(False, [0, 1, 2, 3]),
+                                                        (True, [0, 1, 2, 4])])
+    def test_a_detour_reaches_what_the_direct_leg_cannot(self, with_unreachable, trip):
+        # a state kept only while the direct leg from the start fits would drop b
+        g = detour_graph(with_unreachable)
+        out = solve_exact(g)
+        assert out.trip == trip
+        assert same_answer(out, enumerate_all(g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_cost_graph())
+    def test_matches_enumeration_on_any_costs(self, g):
+        out = solve_exact(g)
+        assert same_answer(out, enumerate_all(g))
+        assert out is None or g.feasible(out.trip).ok
+
+    @pytest.mark.parametrize("n", sorted(WHOLE_INTERIOR_OBJECTIVES))
+    def test_whole_interior_keeps_its_answer(self, n):
+        out = solve_exact(random_graph(7000, n, interior_target=n))
+        assert (out.trip, out.objective.hex()) == (list(range(n)), WHOLE_INTERIOR_OBJECTIVES[n])
+        assert out.nodes <= n * n
+
+    @pytest.mark.parametrize("n, target, seed", [(9, 7, 7000), (9, 7, 7001), (9, 7, 7004),
+                                                 (9, 7, 7005), (17, 15, 7000)])
+    def test_whole_interior_in_another_order(self, n, target, seed, monkeypatch):
+        # every interior vertex fits, but not in ascending order; with no
+        # search the stop-set program must give the same answer
+        g = random_graph(seed, n, interior_target=target)
+        assert not g.feasible([g.start, *g.interior(), g.end]).ok
+        out = solve_exact(g)
+        assert len(out.trip) == n
+        if n <= 9:
+            assert same_answer(out, enumerate_all(g))
+        monkeypatch.setattr(tripkit.exact, "WHOLE_SEARCH_CAP", 0)
+        program = solve_exact(g)
+        assert same_answer(out, program)
+        assert out.nodes < program.nodes
+
+    @pytest.mark.parametrize("seed, tight", [(0, False), (0, True), (3, True)])
+    def test_a_near_zero_profit_tie_breaks_as_enumeration_does(self, seed, tight):
+        g = near_tie_graph(seed, tight)
+        whole = [g.start, *g.interior(), g.end]
+        assert math.isclose(g.trip_objective(whole),
+                            g.trip_objective([v for v in whole if v != 3]), rel_tol=1e-12)
+        assert g.feasible(whole).ok is not tight
+        out = solve_exact(g)
+        assert same_answer(out, enumerate_all(g))
+        # when tight, the set without vertex 3 wins the tie: an order of it
+        # sorts before every order of the whole set that fits
+        assert (3 in out.trip) is not tight
+
+    def test_a_tie_chain_folds_in_enumeration_order(self):
+        # sets {1,2}, {1,4} and {2,3} score 1, 1 + 0.9e-12 and 1 + 1.8e-12:
+        # each ties the next, but the first and last do not, so the answer
+        # depends on the order the sets are met in. enumerate_all meets {1,4}
+        # before {2,3}; in bitmask order {2,3} (0b1100) comes first.
+        n = 6
+        eprofit = np.zeros((n, n))
+        for (a, b), gap in {(1, 2): 0.0, (1, 4): 0.9e-12, (2, 3): 1.8e-12}.items():
+            eprofit[a][b] = eprofit[b][a] = 0.5 + gap
+        cost = np.ones((n, n)) - np.eye(n)
+        g = PoiGraph([f"p{i}" for i in range(n)], [0, 0.25, 0.25, 0.25, 0.25, 0], eprofit,
+                     cost, 3.0, 0.0)
+        out = solve_exact(g)
+        assert out.trip == [0, 2, 3, 5]
+        assert same_answer(out, enumerate_all(g))
+
+    def test_a_negative_profit_is_left_out_though_everything_fits(self):
+        g = random_graph(7102, 6, interior_target=6)
+        vprofit = list(g.vprofit)
+        vprofit[2] = -5.0
+        g = PoiGraph(g.poi_ids, vprofit, g.eprofit, g.cost, g.budget, g.start_visit_cost)
+        assert g.feasible([g.start, *g.interior(), g.end]).ok
+        out = solve_exact(g)
+        assert 2 not in out.trip
+        assert same_answer(out, enumerate_all(g))
+
+    def test_state_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(tripkit.exact, "STATE_CAP", 10)
+        with pytest.raises(StateCapError, match="more than 10 states"):
+            solve_exact(random_graph(7100, 10))
+
+    def test_negative_cost_is_refused(self):
+        g = random_graph(7101, 5)
+        cost = [list(row) for row in g.cost]
+        cost[1][2] = -1.0
+        with pytest.raises(ValueError, match="costs >= 0"):
+            solve_exact(PoiGraph(g.poi_ids, g.vprofit, g.eprofit, cost, g.budget,
+                                 g.start_visit_cost))
 
 def budget_edge_graph(seed: int) -> PoiGraph:
     """random_graph(seed, n) with n in 3..7 and the budget set to the cost of
